@@ -1,6 +1,6 @@
 """Mean-shift clustering, classical and seeded-batch, with benchmarks."""
 
-from .baseline import PointTrajectory, follow_point, run_baseline, shift_once
+from .baseline import run_baseline, shift_once
 from .controller import (
     ControllerState,
     coverage_probability,
@@ -18,19 +18,12 @@ from .core import (
     VectorSet,
     assign_labels,
     estimate_bandwidth,
-    euclidean_distance,
     kde_value,
+    lockstep,
     prune_modes,
-    window_mask,
 )
-from .datagen import GenSpec, gen_blobs, gen_variants, generate
-from .faster import (
-    SeedBatch,
-    batch_shift_iteration,
-    early_stop_check,
-    run_faster,
-    sample_seeds,
-)
+from .datagen import GenSpec, gen_blobs, generate
+from .faster import run_faster, sample_seeds
 from .kernels import active_backend, set_backend, set_threads
 from .metrics import BenchRecord, bench_run, mode_match, rand_index
 
@@ -45,23 +38,17 @@ __all__ = [
     "ModeSet",
     "NoConvergedSeedsError",
     "NoModesError",
-    "PointTrajectory",
-    "SeedBatch",
     "ShiftConfig",
     "VectorSet",
     "active_backend",
     "assign_labels",
-    "batch_shift_iteration",
     "bench_run",
     "coverage_probability",
-    "early_stop_check",
     "estimate_bandwidth",
-    "euclidean_distance",
-    "follow_point",
     "gen_blobs",
-    "gen_variants",
     "generate",
     "kde_value",
+    "lockstep",
     "min_seed_bound",
     "mode_match",
     "next_seed_count",
@@ -74,5 +61,4 @@ __all__ = [
     "set_backend",
     "set_threads",
     "shift_once",
-    "window_mask",
 ]

@@ -7,22 +7,19 @@ repeatedly moves to the mean of the points inside its bandwidth window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import time
 
 import numpy as np
 
 from . import kernels
-from .core import ClusterResult, ShiftConfig, VectorSet, assign_labels, prune_modes
-
-
-@dataclass(frozen=True)
-class PointTrajectory:
-    """End state of one walker: final position, convergence flag, step count."""
-
-    current: np.ndarray
-    converged: bool
-    iterations: int
+from .core import (
+    ClusterResult,
+    ShiftConfig,
+    VectorSet,
+    assign_labels,
+    lockstep,
+    prune_modes,
+)
 
 
 def shift_once(x, points: VectorSet, h: float, chunk_size: int = 4096):
@@ -39,56 +36,21 @@ def shift_once(x, points: VectorSet, h: float, chunk_size: int = 4096):
     return out[0], int(counts[0])
 
 
-def follow_point(x0, points: VectorSet, cfg: ShiftConfig) -> PointTrajectory:
-    """Iterate one walker until its shift is at most conv_tol*h or max_iter."""
-    pos = np.asarray(x0, dtype=np.float64).copy()
-    thresh2 = (cfg.conv_tol * cfg.bandwidth_h) ** 2
-    iterations = 0
-    converged = False
-    while iterations < cfg.max_iter:
-        new_pos, _ = shift_once(pos, points, cfg.bandwidth_h, cfg.chunk_size)
-        iterations += 1
-        shift2 = kernels.row_sq_dist(new_pos.reshape(1, -1), pos.reshape(1, -1))[0]
-        pos = new_pos
-        if shift2 <= thresh2:
-            converged = True
-            break
-    return PointTrajectory(current=pos, converged=converged, iterations=iterations)
-
-
 def run_baseline(points: VectorSet, cfg: ShiftConfig) -> ClusterResult:
     """Full classical mean-shift over every input point.
 
-    All walkers advance in lockstep sweeps; a sweep updates only walkers
-    that have not yet converged, so each walker's iterates are identical to
-    running :func:`follow_point` on it alone. End positions (converged or
-    not at max_iter) become raw modes of support 1 and are merged by
-    ``prune_modes``; labels are nearest-mode over the original points.
+    Every point is a walker of :func:`~fastshift.core.lockstep`, which runs
+    until all have converged or ``max_iter``. End positions (converged or
+    not) become raw modes of support 1 and are merged by ``prune_modes``;
+    labels are nearest-mode over the original points.
 
     ``distance_evals`` counts window scans only (sum over walkers of
     iterations times n); pruning and labeling are excluded.
     """
     t0 = time.perf_counter()
-    n = points.n
-    h = cfg.bandwidth_h
-    thresh2 = (cfg.conv_tol * h) ** 2
-
-    positions = points.data.copy()
-    done = np.zeros(n, dtype=bool)
-    evals = 0
-    sweeps = 0
-    while not done.all() and sweeps < cfg.max_iter:
-        idx = np.flatnonzero(~done)
-        moved, _ = kernels.batch_step(positions[idx], points.data, h,
-                                      cfg.chunk_size)
-        evals += idx.size * n
-        sweeps += 1
-        shift2 = kernels.row_sq_dist(moved, positions[idx])
-        positions[idx] = moved
-        done[idx] = shift2 <= thresh2
-
-    mode_set = prune_modes(positions, np.ones(n, dtype=np.int64), h,
-                           cfg.min_mode_support)
+    positions, _, sweeps, evals = lockstep(points.data, points, cfg, 1.0)
+    mode_set = prune_modes(positions, np.ones(points.n, dtype=np.int64),
+                           cfg.bandwidth_h, cfg.min_mode_support)
     labels = assign_labels(points, mode_set, cfg.chunk_size)
     return ClusterResult(
         labels=labels,

@@ -12,6 +12,7 @@ identical bytes. ``--no-timing`` zeroes the one non-repeatable field
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -158,19 +159,8 @@ def cmd_cluster(args) -> int:
         "iterations_run": result.iterations_run,
         "distance_evals": result.distance_evals,
         "wall_time_s": 0.0 if args.no_timing else result.wall_time_s,
-        "config": {
-            "backend": kernels.active_backend(),
-            "bandwidth_h": cfg.bandwidth_h,
-            "conv_tol": cfg.conv_tol,
-            "max_iter": cfg.max_iter,
-            "early_stop_gamma": cfg.early_stop_gamma,
-            "n_initial": cfg.n_initial,
-            "seed_low_L": cfg.seed_low_L,
-            "seed_high_H": cfg.seed_high_H,
-            "rng_seed": cfg.rng_seed,
-            "min_mode_support": cfg.min_mode_support,
-            "chunk_size": cfg.chunk_size,
-        },
+        "config": {"backend": kernels.active_backend(),
+                   **dataclasses.asdict(cfg)},
     }
     _write_text(args.out, json.dumps(payload, sort_keys=True,
                                      separators=(",", ":")) + "\n")

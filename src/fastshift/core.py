@@ -127,27 +127,37 @@ class ClusterResult:
     distance_evals: int
 
 
-def euclidean_distance(a, b) -> float:
-    """L2 distance between two vectors of equal dimension."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    # cumsum keeps the term order identical to a scalar loop at any dimension
-    return float(np.sqrt(np.cumsum(diff * diff)[-1]))
+def lockstep(start, points: VectorSet, cfg: ShiftConfig, stop_fraction: float):
+    """Walk every row of ``start`` uphill in lockstep window-mean sweeps.
 
+    Each sweep moves every unconverged walker to the mean of the points
+    within ``cfg.bandwidth_h`` of it; a walker whose move is at most
+    ``conv_tol * bandwidth_h`` is converged and stays put from then on, so
+    each walker's iterates are those it would take alone. Sweeps end when
+    no walker is moving, at ``cfg.max_iter``, or once converged walkers
+    make up at least ``stop_fraction`` of all of them.
 
-def window_mask(center, points: VectorSet, h: float) -> np.ndarray:
-    """Boolean window membership: True where ||p_i - center|| <= h.
-
-    The boundary is included: a point at distance exactly ``h`` is inside.
+    Returns ``(positions, converged, sweeps, evals)``; ``evals`` is the sum
+    over sweeps of (moving walkers) * n. ``start`` is not modified.
     """
-    if h <= 0:
-        raise ConfigError(f"bandwidth must be positive, got {h}")
-    center = np.asarray(center, dtype=np.float64)
-    d2 = kernels.row_sq_dist(points.data, np.broadcast_to(center, points.data.shape))
-    return d2 <= h * h
+    positions = np.array(start, dtype=np.float64)
+    n_walkers = positions.shape[0]
+    thresh2 = (cfg.conv_tol * cfg.bandwidth_h) ** 2
+    converged = np.zeros(n_walkers, dtype=bool)
+    sweeps = 0
+    evals = 0
+    while sweeps < cfg.max_iter and not converged.all():
+        idx = np.flatnonzero(~converged)
+        rows = positions[idx]
+        moved, _ = kernels.batch_step(rows, points.data, cfg.bandwidth_h,
+                                      cfg.chunk_size)
+        evals += idx.size * points.n
+        sweeps += 1
+        converged[idx] = kernels.row_sq_dist(moved, rows) <= thresh2
+        positions[idx] = moved
+        if int(converged.sum()) / n_walkers >= stop_fraction:
+            break
+    return positions, converged, sweeps, evals
 
 
 def kde_value(x, points: VectorSet, h: float) -> float:
@@ -190,10 +200,7 @@ def estimate_bandwidth(points: VectorSet, quantile: float = 0.3,
         idx = rng.choice(points.n, size=sample_cap, replace=False)
         sample = points.data[idx]
     s = sample.shape[0]
-    d2 = np.zeros((s, s))
-    for k in range(sample.shape[1]):
-        diff = sample[:, k][:, None] - sample[:, k][None, :]
-        d2 += diff * diff
+    d2 = kernels.sq_dist_block(sample, sample)
     d2.sort(axis=1)
     k_nn = max(1, int(np.floor(quantile * s)))
     kth = np.sqrt(d2[:, k_nn])

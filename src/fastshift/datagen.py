@@ -150,9 +150,3 @@ def generate(spec: GenSpec):
     if spec.kind == "anisotropic":
         return _gen_anisotropic(spec, ANISO_TRANSFORM)
     raise ValueError(f"unsupported kind {spec.kind!r}")
-
-
-def gen_variants(spec: GenSpec):
-    """Non-blob layouts (and blob variants): ``(VectorSet, true_labels)``."""
-    vs, labels, _ = generate(spec)
-    return vs, labels

@@ -2,98 +2,36 @@
 
 Instead of iterating from every point, a small uniform sample of seeds
 walks to the modes; the whole batch advances together, each sweep testing
-every active unconverged seed against all points in fixed index order.
+every unconverged seed against all points in fixed index order.
 Once a gamma fraction of the batch has converged the rest are discarded,
 and every input point is then labeled by its nearest surviving mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import time
 
 import numpy as np
 
-from . import kernels
 from .core import (
     ClusterResult,
     NoConvergedSeedsError,
     ShiftConfig,
     VectorSet,
     assign_labels,
+    lockstep,
     prune_modes,
 )
 
 
-@dataclass
-class SeedBatch:
-    """Positions plus per-seed flags for one batch of walkers.
-
-    ``active`` stays all-True while the batch iterates; seeds that are
-    still unconverged when the run stops are deactivated (discarded).
-    ``last_shift`` is infinity for seeds that have not moved yet.
-    """
-
-    positions: np.ndarray
-    active: np.ndarray
-    converged: np.ndarray
-    last_shift: np.ndarray
-
-    @property
-    def n_seeds(self) -> int:
-        return self.positions.shape[0]
-
-
-def sample_seeds(points: VectorSet, N: int, rng_seed: int) -> SeedBatch:
+def sample_seeds(points: VectorSet, N: int, rng_seed: int) -> np.ndarray:
     """Uniform sample of min(N, n) distinct input points as seed positions."""
     if N < 1:
         raise ValueError(f"seed count must be >= 1, got {N}")
     n = points.n
-    take = min(N, n)
-    idx = np.random.default_rng(rng_seed).choice(n, size=take, replace=False)
-    return SeedBatch(
-        positions=points.data[idx].copy(),
-        active=np.ones(take, dtype=bool),
-        converged=np.zeros(take, dtype=bool),
-        last_shift=np.full(take, np.inf),
-    )
-
-
-def batch_shift_iteration(batch: SeedBatch, points: VectorSet,
-                          cfg: ShiftConfig) -> SeedBatch:
-    """Advance every active unconverged seed by one window-mean step.
-
-    Each moving seed goes to the mean of all points within ``bandwidth_h``
-    of it, computed against the full point set in chunks of
-    ``cfg.chunk_size`` (transient memory stays O(batch * chunk), never
-    O(batch * n)). Seeds whose move is at most conv_tol*h are marked
-    converged. Returns a new batch; the input is not mutated.
-    """
-    moving = batch.active & ~batch.converged
-    if not moving.any():
-        raise ValueError("no active unconverged seeds to iterate")
-    rows = batch.positions[moving]
-    out, _ = kernels.batch_step(rows, points.data, cfg.bandwidth_h,
-                                cfg.chunk_size)
-    shift = np.sqrt(kernels.row_sq_dist(out, rows))
-
-    positions = batch.positions.copy()
-    positions[moving] = out
-    converged = batch.converged.copy()
-    converged[moving] = shift <= cfg.conv_tol * cfg.bandwidth_h
-    last_shift = batch.last_shift.copy()
-    last_shift[moving] = shift
-    return SeedBatch(positions=positions, active=batch.active.copy(),
-                     converged=converged, last_shift=last_shift)
-
-
-def early_stop_check(batch: SeedBatch, gamma: float) -> bool:
-    """True once converged seeds make up at least ``gamma`` of active ones."""
-    n_active = int(batch.active.sum())
-    if n_active == 0:
-        raise ValueError("batch has no active seeds")
-    n_conv = int((batch.active & batch.converged).sum())
-    return n_conv / n_active >= gamma
+    idx = np.random.default_rng(rng_seed).choice(n, size=min(N, n),
+                                                 replace=False)
+    return points.data[idx]
 
 
 def run_faster(points: VectorSet, N: int, cfg: ShiftConfig,
@@ -108,31 +46,13 @@ def run_faster(points: VectorSet, N: int, cfg: ShiftConfig,
     t0 = time.perf_counter()
     if rng_seed is None:
         rng_seed = cfg.rng_seed
-    batch = sample_seeds(points, N, rng_seed)
-    n = points.n
-
-    evals = 0
-    sweeps = 0
-    while sweeps < cfg.max_iter:
-        moving = int((batch.active & ~batch.converged).sum())
-        if moving == 0:
-            break
-        evals += moving * n
-        batch = batch_shift_iteration(batch, points, cfg)
-        sweeps += 1
-        if early_stop_check(batch, cfg.early_stop_gamma):
-            break
-
+    positions, converged, sweeps, evals = lockstep(
+        sample_seeds(points, N, rng_seed), points, cfg, cfg.early_stop_gamma)
     # survivors only: stragglers are dropped, not merged
-    discard = batch.active & ~batch.converged
-    batch.active[discard] = False
-    seeds_used = batch.n_seeds
-    seeds_discarded = int(discard.sum())
-    keep = batch.converged
-    if not keep.any():
+    if not converged.any():
         raise NoConvergedSeedsError("no seeds converged")
 
-    raw = batch.positions[keep]
+    raw = positions[converged]
     mode_set = prune_modes(raw, np.ones(raw.shape[0], dtype=np.int64),
                            cfg.bandwidth_h, cfg.min_mode_support)
     labels = assign_labels(points, mode_set, cfg.chunk_size)
@@ -140,8 +60,8 @@ def run_faster(points: VectorSet, N: int, cfg: ShiftConfig,
         labels=labels,
         mode_set=mode_set,
         iterations_run=sweeps,
-        seeds_used=seeds_used,
-        seeds_discarded=seeds_discarded,
+        seeds_used=positions.shape[0],
+        seeds_discarded=int((~converged).sum()),
         wall_time_s=time.perf_counter() - t0,
         distance_evals=evals,
     )

@@ -13,6 +13,7 @@ from .controller import run_adaptive
 from .core import ModeSet, ShiftConfig, VectorSet
 from .datagen import GenSpec, generate
 from .faster import run_faster
+from .kernels import sq_dist_block
 
 BENCH_METHODS = ("baseline", "faster", "faster_adaptive")
 
@@ -74,12 +75,8 @@ def mode_match(found: ModeSet, truth, tol: float):
     t = np.asarray(truth, dtype=np.float64)
     if t.ndim == 1:
         t = t.reshape(1, -1)
-    f = found.modes
-    nf, nt = f.shape[0], t.shape[0]
-    d2 = np.zeros((nf, nt))
-    for k in range(f.shape[1]):
-        diff = f[:, k][:, None] - t[:, k][None, :]
-        d2 += diff * diff
+    nf, nt = found.m, t.shape[0]
+    d2 = sq_dist_block(found.modes, t)
 
     fi, ti = np.divmod(np.arange(nf * nt), nt)
     order = np.lexsort((ti, fi, d2.ravel()))

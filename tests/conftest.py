@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fastshift import GenSpec, gen_blobs
-from fastshift import kernels
+from fastshift import ConfigError, GenSpec, ShiftConfig, VectorSet, gen_blobs
+from fastshift import kernels, shift_once
 
 # numba's first-call JIT latency trips hypothesis' default deadline
 settings.register_profile(
@@ -68,3 +69,53 @@ def scalar_batch_step(rows, points, h):
         for k in range(d):
             out[s, k] = acc[k] / cnt if cnt else rows[s, k]
     return out, counts
+
+
+@dataclass(frozen=True)
+class PointTrajectory:
+    """End state of one walker: final position, convergence flag, step count."""
+
+    current: np.ndarray
+    converged: bool
+    iterations: int
+
+
+def follow_point(x0, points: VectorSet, cfg: ShiftConfig) -> PointTrajectory:
+    """Independent one-walker reference for the lockstep engine: iterate
+    ``shift_once`` until the shift is at most conv_tol*h or max_iter."""
+    pos = np.asarray(x0, dtype=np.float64).copy()
+    thresh2 = (cfg.conv_tol * cfg.bandwidth_h) ** 2
+    iterations = 0
+    converged = False
+    while iterations < cfg.max_iter:
+        new_pos, _ = shift_once(pos, points, cfg.bandwidth_h, cfg.chunk_size)
+        iterations += 1
+        shift2 = kernels.row_sq_dist(new_pos.reshape(1, -1), pos.reshape(1, -1))[0]
+        pos = new_pos
+        if shift2 <= thresh2:
+            converged = True
+            break
+    return PointTrajectory(current=pos, converged=converged, iterations=iterations)
+
+
+def euclidean_distance(a, b) -> float:
+    """L2 distance between two vectors of equal dimension."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    diff = a - b
+    # cumsum keeps the term order identical to a scalar loop at any dimension
+    return float(np.sqrt(np.cumsum(diff * diff)[-1]))
+
+
+def window_mask(center, points: VectorSet, h: float) -> np.ndarray:
+    """Boolean window membership: True where ||p_i - center|| <= h.
+
+    The boundary is included: a point at distance exactly ``h`` is inside.
+    """
+    if h <= 0:
+        raise ConfigError(f"bandwidth must be positive, got {h}")
+    center = np.asarray(center, dtype=np.float64)
+    d2 = kernels.row_sq_dist(points.data, np.broadcast_to(center, points.data.shape))
+    return d2 <= h * h

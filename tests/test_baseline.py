@@ -8,15 +8,13 @@ import pytest
 from fastshift import (
     ShiftConfig,
     VectorSet,
-    follow_point,
     kde_value,
     run_baseline,
     shift_once,
 )
 from fastshift import kernels
-from fastshift.baseline import PointTrajectory
 
-from conftest import make_blobs, scalar_batch_step
+from conftest import PointTrajectory, follow_point, make_blobs, scalar_batch_step
 
 rng = np.random.default_rng(7)
 

