@@ -12,9 +12,12 @@ identical bytes. ``--no-timing`` zeroes the one non-repeatable field
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
+import secrets
+import stat
 import sys
 from pathlib import Path
 
@@ -99,10 +102,44 @@ def _resolve_seeds(value: str | None, n: int, default: int) -> int:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write ``text`` to stdout, or replace the file at ``path`` atomically.
+
+    A regular or missing target (after following symlinks) gets the text
+    through a new temporary file beside it, which then replaces it in one
+    rename: a failed write leaves any earlier file untouched and no
+    partial file behind, and an earlier file's mode is kept (its owner
+    too, where the user may set it). Any other target, such as
+    ``/dev/null`` or ``/dev/stdout``, is written through, since a rename
+    would replace the device or pipe itself.
+    """
     if path is None:
         sys.stdout.write(text)
         return
-    Path(path).write_text(text)
+    target = Path(os.path.realpath(path))
+    try:
+        old = target.stat()
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(target, "w") as fh:
+            fh.write(text)
+        return
+    tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        fh = open(tmp, "x")
+    except OSError as exc:  # name the file the user asked for
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            if old is not None:
+                with contextlib.suppress(PermissionError):
+                    os.fchown(fh.fileno(), old.st_uid, old.st_gid)
+                os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_generate(args) -> int:

@@ -191,8 +191,8 @@ def estimate_bandwidth(points: VectorSet, quantile: float = 0.3,
         raise ValueError(f"need at least 2 points, got {points.n}")
     if not (0.0 < quantile < 1.0):
         raise ConfigError(f"quantile must be in (0, 1), got {quantile}")
-    if sample_cap < 1:
-        raise ConfigError(f"sample_cap must be >= 1, got {sample_cap}")
+    if sample_cap < 2:
+        raise ConfigError(f"sample_cap must be >= 2, got {sample_cap}")
     if sample_cap >= points.n:
         sample = points.data
     else:
@@ -200,10 +200,15 @@ def estimate_bandwidth(points: VectorSet, quantile: float = 0.3,
         idx = rng.choice(points.n, size=sample_cap, replace=False)
         sample = points.data[idx]
     s = sample.shape[0]
-    d2 = kernels.sq_dist_block(sample, sample)
-    d2.sort(axis=1)
     k_nn = max(1, int(np.floor(quantile * s)))
-    kth = np.sqrt(d2[:, k_nn])
+    # row blocks of BLOCK_FLOATS distances bound the memory at any sample
+    # size; the k-th smallest of a row is the same value however it is found
+    kth = np.empty(s)
+    blk = max(1, kernels.BLOCK_FLOATS // s)
+    for lo in range(0, s, blk):
+        d2 = kernels.sq_dist_block(sample[lo:lo + blk], sample)
+        kth[lo:lo + blk] = np.partition(d2, k_nn, axis=1)[:, k_nn]
+    kth = np.sqrt(kth)
     # summing in sorted order makes the estimate independent of row order
     kth.sort()
     return float(np.cumsum(kth)[-1] / s)

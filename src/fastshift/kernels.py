@@ -13,6 +13,18 @@ the fold order across chunk boundaries by carrying the accumulator into
 ``np.add.accumulate`` (a strict sequential scan), so results are
 bit-identical for any ``chunk_size`` and for any thread count, and match
 the numba loops bit for bit.
+
+The numpy window step does not distance-test every (row, point) pair. A
+uniform grid of cell side just over ``h`` groups the rows by cell, and each
+group is tested only against the points of its 3^d neighbour cells, kept in
+ascending index order. A point the grid drops is more than ``h`` away on
+one axis, so its computed squared distance exceeds ``h * h`` and it would
+have added nothing to the fold: results are the brute-force bytes. That
+holds while every coordinate is within ``2**28 * h`` in magnitude and
+``h * h`` is a normal float; otherwise every point is a candidate. The
+numba window step tests every pair: the grid's candidate selection makes
+numpy passes over all points per cell group, which may cost more than the
+fused numba loop, and that has not been measured.
 """
 
 from __future__ import annotations
@@ -31,6 +43,10 @@ except ImportError:  # pragma: no cover - exercised only where numba is absent
     HAS_NUMBA = False
 
 _VALID_BACKENDS = ("numba", "numpy")
+
+# floats in one matrix-shaped numpy buffer (512 KB), small enough to stay in
+# cache; callers that block over rows size their blocks from it
+BLOCK_FLOATS = 65_536
 
 
 def _resolve_default() -> str:
@@ -86,21 +102,27 @@ def as_matrix(arr) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64)
 
 
-def sq_dist_block(a, b):
+def sq_dist_block(a, b, out=None, diff=None):
     """Squared distance from every row of ``a`` to every row of ``b``.
 
     Returns the (rows of a) by (rows of b) matrix. Each entry folds its
     coordinates in ascending order into a zero start, the order the numba
     loops use, so both backends compare the same bits against a radius.
-    One difference buffer is reused across coordinates: fresh temporaries
-    the size of the matrix cost more in page faults than in arithmetic.
+    The first coordinate's square is stored as is, which is the same as
+    adding it to zero. One difference buffer is reused across coordinates;
+    ``out`` and ``diff``, when given, are matrix-shaped buffers for the
+    result and that difference.
     """
-    d2 = np.zeros((a.shape[0], b.shape[0]))
-    diff = np.empty_like(d2)
+    shape = (a.shape[0], b.shape[0])
+    d2 = np.empty(shape) if out is None else out
+    diff = np.empty(shape) if diff is None else diff
     for k in range(a.shape[1]):
         np.subtract(a[:, k][:, None], b[:, k][None, :], out=diff)
-        np.multiply(diff, diff, out=diff)
-        d2 += diff
+        if k == 0:
+            np.multiply(diff, diff, out=d2)
+        else:
+            np.multiply(diff, diff, out=diff)
+            d2 += diff
     return d2
 
 
@@ -138,25 +160,40 @@ if HAS_NUMBA:
         return out, counts
 
 
-def _batch_step_numpy(rows, points, h2, chunk_size):
-    # row-block so the m-by-chunk distance buffer stays near 4M floats even
-    # when a caller batches every input point as a row; rows are independent,
-    # so blocking cannot change any value
+def _scratch(pool, key, shape):
+    """A ``shape`` view of the buffer ``pool[key]``, grown when too small.
+
+    One pool serves one ``batch_step`` call, so all its blocks reuse the
+    same memory: the time per pair then does not depend on how the
+    allocator recycles freed blocks, which page-faults when it trims and
+    regrows the heap.
+    """
+    size = int(np.prod(shape))
+    buf = pool.get(key)
+    if buf is None or buf.size < size:
+        buf = pool[key] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _batch_step_numpy(rows, points, h2, chunk_size, pool):
+    # row-block so the m-by-chunk buffers stay within BLOCK_FLOATS even when
+    # a caller batches every input point as a row; rows are independent, so
+    # blocking cannot change any value
     m = rows.shape[0]
-    blk_rows = max(1, 4_000_000 // max(1, min(chunk_size, points.shape[0])))
+    blk_rows = max(1, BLOCK_FLOATS // max(1, min(chunk_size, points.shape[0])))
     if m <= blk_rows:
-        return _batch_step_numpy_block(rows, points, h2, chunk_size)
+        return _batch_step_numpy_block(rows, points, h2, chunk_size, pool)
     out = np.empty_like(rows)
     counts = np.empty(m, np.int64)
     for lo in range(0, m, blk_rows):
         o, c = _batch_step_numpy_block(rows[lo:lo + blk_rows], points, h2,
-                                       chunk_size)
+                                       chunk_size, pool)
         out[lo:lo + blk_rows] = o
         counts[lo:lo + blk_rows] = c
     return out, counts
 
 
-def _batch_step_numpy_block(rows, points, h2, chunk_size):
+def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
     m, d = rows.shape
     n = points.shape[0]
     acc = np.zeros((m, d))
@@ -164,16 +201,14 @@ def _batch_step_numpy_block(rows, points, h2, chunk_size):
     for lo in range(0, n, chunk_size):
         blk = points[lo:lo + chunk_size]
         c = blk.shape[0]
-        # d2 stays bound until the next chunk replaces it: freeing it here
-        # lets the allocator trim and regrow the heap every chunk (128 rows
-        # by 200K points on 2 CPUs: 4x the page faults, 15% more time)
-        d2 = sq_dist_block(rows, blk)
-        mask = d2 <= h2
-        counts += mask.sum(axis=1, dtype=np.int64)
-        w = mask.astype(np.float64)
+        d2 = sq_dist_block(rows, blk, out=_scratch(pool, "d2", (m, c)),
+                           diff=_scratch(pool, "diff", (m, c)))
+        # the 0/1 window weights overwrite the distances they come from
+        w = np.less_equal(d2, h2, out=d2)
+        counts += np.count_nonzero(w, axis=1)
         # carry the running sum through a sequential scan so the fold order
         # over points is independent of where chunk boundaries fall
-        buf = np.empty((m, c + 1))
+        buf = _scratch(pool, "scan", (m, c + 1))
         for k in range(d):
             buf[:, 0] = acc[:, k]
             np.multiply(w, blk[:, k][None, :], out=buf[:, 1:])
@@ -184,19 +219,65 @@ def _batch_step_numpy_block(rows, points, h2, chunk_size):
     return out, counts
 
 
+def _grid_exact(rows, points, h):
+    """Whether the cell grid drops only points the kernel would reject.
+
+    A dropped point is two or more cells from the row on some axis. With
+    every coordinate within ``2**28 * h``, a computed cell position is off
+    by under ``2**-23`` cells, so the exact gap on that axis exceeds
+    ``h * (1 + 2**-21)``, and the few roundings in the squared distance
+    cannot bring it down to ``h * h``. A normal ``h * h`` keeps the squares
+    clear of underflow; a non-positive or non-finite ``h`` fails the test.
+    """
+    if rows.size == 0 or points.size == 0:
+        return False
+    if not (np.isfinite(h * h) and h * h >= np.finfo(np.float64).tiny):
+        return False
+    reach = 2.0 ** 28 * h
+    return bool(np.abs(points).max() <= reach and np.abs(rows).max() <= reach)
+
+
 def batch_step(rows, points, h, chunk_size):
     """Move each row to the mean of all points within distance ``h`` of it.
 
     Rows with an empty window stay put. Returns ``(new_rows, window_counts)``.
-    Every (row, point) pair is distance-tested, so one call costs exactly
-    ``rows.shape[0] * points.shape[0]`` distance evaluations.
+    On the numpy backend, rows are grouped by the cell of a uniform grid of
+    side just over ``h`` and each group is tested only against the points
+    of its 3^d neighbour cells, in ascending index order; the bytes are
+    those of testing every (row, point) pair. That holds while every
+    coordinate is within ``2**28 * h`` in magnitude and ``h * h`` is a
+    normal float, and every point is tested otherwise. The numba backend
+    tests every point. Callers count ``rows.shape[0] * points.shape[0]``
+    distance evaluations per call, the nominal work of the exhaustive
+    test, whatever the grid saves.
     """
     rows = as_matrix(rows)
     points = as_matrix(points)
     h2 = h * h
     if _backend == "numba":
         return _batch_step_numba(rows, points, h2)
-    return _batch_step_numpy(rows, points, h2, chunk_size)
+    pool = {}
+    if not _grid_exact(rows, points, h):
+        return _batch_step_numpy(rows, points, h2, chunk_size, pool)
+    side = h * (1.0 + 2.0 ** -20)
+    lo = points.min(axis=0)
+    # point cells axis by axis (d by n), so each test below is a flat pass
+    pcell = np.floor((points.T - lo[:, None]) / side).astype(np.int64)
+    rcell = np.floor((rows - lo) / side).astype(np.int64)
+    cells, inverse = np.unique(rcell, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse))[:-1]
+    out = np.empty_like(rows)
+    counts = np.empty(rows.shape[0], np.int64)
+    near = np.empty(points.shape[0], bool)
+    for cell, members in zip(cells, np.split(order, bounds)):
+        near.fill(True)
+        for k, c in enumerate(cell):
+            near &= np.abs(pcell[k] - c) <= 1
+        out[members], counts[members] = _batch_step_numpy(
+            rows[members], points[np.flatnonzero(near)], h2, chunk_size, pool)
+    return out, counts
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ print environment warnings that are not ours to silence.
 """
 
 import json
+import os
+import resource
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -251,6 +256,59 @@ def test_bench_unknown_method_exits_2(tmp_path):
                   "--out", str(tmp_path / "b.csv"))
     assert res.returncode == 2
     assert "error:" in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+@pytest.mark.parametrize("command", ["cluster", "bench"])
+def test_failed_write_keeps_previous_output(tmp_path, workspace, command):
+    out = tmp_path / "out.txt"
+    out.write_text("previous\n")
+    if command == "cluster":
+        args = ["cluster", "--input", str(workspace["data"]),
+                "--bandwidth", "0.3", "--no-timing"]
+    else:
+        args = ["bench", "--sizes", "300", "--methods", "faster",
+                "--repeats", "1"]
+
+    def small_files():
+        # writes past 64 bytes fail with EFBIG, as they would on a full disk
+        resource.setrlimit(resource.RLIMIT_FSIZE, (64, 64))
+
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    res = subprocess.run(
+        [sys.executable, "-m", "fastshift.cli", *args, "--out", str(out)],
+        capture_output=True, text=True, env=env, preexec_fn=small_files)
+    assert res.returncode == 1, res.stderr
+    assert out.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_out_through_symlink_updates_the_linked_file(tmp_path, workspace):
+    real = tmp_path / "real.json"
+    real.write_text("previous\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    res = run_cli("cluster", "--input", str(workspace["data"]),
+                  "--bandwidth", "0.3", "--method", "baseline",
+                  "--no-timing", "--out", str(link))
+    assert res.returncode == 0, res.stderr
+    assert link.is_symlink()
+    assert real.read_bytes() == workspace["base"].read_bytes()
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json",
+                                                          "real.json"]
+
+
+def test_out_to_devnull_writes_through(workspace):
+    # a rename over the device would swap it for a regular file
+    res = run_cli("cluster", "--input", str(workspace["data"]),
+                  "--bandwidth", "0.3", "--no-timing", "--out", os.devnull)
+    assert res.returncode == 0, res.stderr
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 # ---------------------------------------------------------------------------

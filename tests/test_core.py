@@ -1,5 +1,7 @@
 """Domain types and shared primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -209,6 +211,28 @@ def test_bandwidth_validation():
         estimate_bandwidth(vs, quantile=0.0)
     with pytest.raises(ConfigError):
         estimate_bandwidth(vs, sample_cap=0)
+    with pytest.raises(ConfigError):  # one point has no neighbour
+        estimate_bandwidth(vs, sample_cap=1)
+
+
+def test_bandwidth_row_blocked_matches_full_matrix_in_bounded_memory():
+    x = np.random.default_rng(5).normal(size=(3000, 2))
+    # reference: the whole 3000 x 3000 matrix (72 MB), each row sorted
+    d2 = (x[:, :1] - x[:, 0]) ** 2 + (x[:, 1:] - x[:, 1]) ** 2
+    d2.sort(axis=1)
+    kth = np.sqrt(d2[:, 900])  # floor(0.3 * 3000)
+    kth.sort()
+    ref = float(np.cumsum(kth)[-1] / 3000)
+    del d2
+    vs = VectorSet(x)
+    tracemalloc.start()
+    try:
+        got = estimate_bandwidth(vs, quantile=0.3, sample_cap=3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ref
+    assert peak < 8e6
 
 
 def test_bandwidth_deterministic_when_capped():

@@ -3,10 +3,12 @@ fold order makes results independent of chunking and threading."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastshift import kernels
 
-from conftest import scalar_batch_step
+from conftest import make_blobs, scalar_batch_step
 
 rng = np.random.default_rng(1234)
 POINTS = rng.normal(size=(257, 3))
@@ -48,12 +50,23 @@ def test_batch_step_backends_agree_bitwise(restore_backend):
     assert np.array_equal(ca, cb)
 
 
-def test_batch_step_row_blocking_path_bitwise(restore_backend):
-    # enough rows to force the numpy row-block path (4M // chunk budget)
+def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
+    # enough rows per grid cell that some cell's group exceeds the numpy
+    # row-block budget (BLOCK_FLOATS // min(chunk, candidates) rows)
     big_rows = rng.normal(size=(1500, 2))
     pts = rng.normal(size=(3000, 2))
     kernels.set_backend("numpy")
+    blocked_calls = []
+    numpy_step = kernels._batch_step_numpy
+
+    def spy(rows, points, h2, chunk_size, pool):
+        budget = kernels.BLOCK_FLOATS // min(chunk_size, points.shape[0])
+        blocked_calls.append(rows.shape[0] > budget)
+        return numpy_step(rows, points, h2, chunk_size, pool)
+
+    monkeypatch.setattr(kernels, "_batch_step_numpy", spy)
     blocked, cb = kernels.batch_step(big_rows, pts, 1.2, 3000)
+    assert any(blocked_calls)
     ref, cr = scalar_batch_step(big_rows[:13], pts, 1.2)
     assert blocked[:13].tobytes() == ref.tobytes()
     if kernels.HAS_NUMBA:
@@ -64,10 +77,111 @@ def test_batch_step_row_blocking_path_bitwise(restore_backend):
 
 
 def test_batch_step_empty_window_keeps_row(backend):
-    far = np.array([[1e6, 1e6, 1e6]])
-    out, counts = kernels.batch_step(far, POINTS, H, 64)
-    assert counts[0] == 0
-    assert out.tobytes() == far.tobytes()
+    # 1e6 is inside the grid's coordinate limit (2**28 * H), so on numpy the
+    # row gets an empty candidate set; 1e9 is beyond it and every point is
+    # tested
+    for coord, gridded in ((1e6, True), (1e9, False)):
+        far = np.full((1, 3), coord)
+        assert kernels._grid_exact(far, POINTS, H) is gridded
+        out, counts = kernels.batch_step(far, POINTS, H, 64)
+        assert counts[0] == 0
+        assert out.tobytes() == far.tobytes()
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_batch_step_grid_matches_scalar_on_cell_boundaries(data):
+    # points on integer multiples of h sit on cell corners, and rows exactly
+    # +-h off a point put window edges on them: the grid must drop no point
+    # the brute-force test accepts, nor keep a stray +-0.0 in the fold
+    d = data.draw(st.integers(1, 3), label="d")
+    h = data.draw(st.sampled_from([0.1, 0.3, 0.7, 1.0, 2.5]), label="h")
+    n = data.draw(st.integers(1, 40), label="n")
+    ints = data.draw(st.lists(st.integers(-4, 4), min_size=n * d,
+                              max_size=n * d), label="cells")
+    pts = np.array(ints, dtype=np.float64).reshape(n, d) * h
+    picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=8), label="rows")
+    offs = data.draw(st.lists(st.sampled_from([-h, 0.0, h]),
+                              min_size=len(picks) * d,
+                              max_size=len(picks) * d), label="offsets")
+    rows = pts[picks] + np.array(offs).reshape(len(picks), d)
+    chunk = data.draw(st.sampled_from([1, 3, 64]), label="chunk")
+    assert kernels._grid_exact(rows, pts, h)
+    out, counts = kernels.batch_step(rows, pts, h, chunk)
+    ref, ref_counts = scalar_batch_step(rows, pts, h)
+    assert out.tobytes() == ref.tobytes()
+    assert np.array_equal(counts, ref_counts)
+
+
+def test_batch_step_grid_coordinate_limit_bitwise(backend):
+    h = 0.3
+    reach = 2.0 ** 28 * h
+    grid = np.arange(-3, 4) * h
+    for edge, gridded in ((reach, True), (np.nextafter(reach, np.inf), False)):
+        # a lattice whose corner sits on the limit, plus its mirror far away
+        near_edge = np.array([[edge - a * h / 2, b] for a in range(8)
+                              for b in grid])
+        pts = np.concatenate([near_edge, -near_edge[::5]])
+        rows = np.concatenate([near_edge[::3] - [h, 0.0],
+                               near_edge[1::4] + [0.0, h], -near_edge[:2]])
+        assert kernels._grid_exact(rows, pts, h) is gridded
+        out, counts = kernels.batch_step(rows, pts, h, 16)
+        ref, ref_counts = scalar_batch_step(rows, pts, h)
+        assert out.tobytes() == ref.tobytes(), f"edge={edge!r}"
+        assert np.array_equal(counts, ref_counts)
+
+
+def test_batch_step_underflowing_window_tests_every_point(backend):
+    # h * h underflows to 0, so the kernel accepts a point 2.5 h away whose
+    # square underflows too; the grid would drop it, so it must stand aside
+    h = 1e-170
+    pts = np.array([[0.0], [2.5e-170]])
+    rows = np.array([[0.0]])
+    assert not kernels._grid_exact(rows, pts, h)
+    out, counts = kernels.batch_step(rows, pts, h, 64)
+    ref, ref_counts = scalar_batch_step(rows, pts, h)
+    assert counts.tolist() == ref_counts.tolist() == [2]
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_batch_step_grid_prunes_candidates(restore_backend, monkeypatch):
+    # a protocol window holds about one of 10 separated blobs; a silent
+    # fall back to testing every pair would pass the rows times n here
+    points, _, _ = make_blobs(n=3000, k=10, sigma=0.1, seed=3)
+    rows = points.data[::50]
+    kernels.set_backend("numpy")
+    pairs = []
+    numpy_step = kernels._batch_step_numpy
+
+    def spy(r, p, *rest):
+        pairs.append(r.shape[0] * p.shape[0])
+        return numpy_step(r, p, *rest)
+
+    monkeypatch.setattr(kernels, "_batch_step_numpy", spy)
+    out, counts = kernels.batch_step(rows, points.data, 0.3, 4096)
+    assert sum(pairs) < rows.shape[0] * points.n / 4
+    ref, ref_counts = scalar_batch_step(rows, points.data, 0.3)
+    assert out.tobytes() == ref.tobytes()
+    assert np.array_equal(counts, ref_counts)
+
+
+def test_batch_step_numba_tests_every_point(restore_backend, monkeypatch):
+    # the grid is numpy-only: the numba kernel gets all rows and points in
+    # one call (a stand-in kernel, so this runs without numba too)
+    points, _, _ = make_blobs(n=3000, k=10, sigma=0.1, seed=3)
+    rows = points.data[::50]
+    seen = []
+
+    def numba_step(r, p, h2):
+        seen.append((r.shape, p.shape, h2))
+        return scalar_batch_step(r, p, 0.3)
+
+    monkeypatch.setattr(kernels, "_backend", "numba")
+    monkeypatch.setattr(kernels, "_batch_step_numba", numba_step,
+                        raising=False)
+    kernels.batch_step(rows, points.data, 0.3, 4096)
+    assert seen == [(rows.shape, points.data.shape, 0.3 * 0.3)]
 
 
 def test_thread_count_does_not_change_bits(restore_backend):
