@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import io
 import json
 import os
 import secrets
@@ -147,8 +148,9 @@ def cmd_generate(args) -> int:
                    noise_sigma=args.sigma, rng_seed=args.seed,
                    box_extent=args.box)
     points, labels, centers = generate(spec)
-    out = Path(args.out)
-    np.savetxt(out, points.data, fmt=_FLOAT_FMT, delimiter=",")
+    csv = io.StringIO()
+    np.savetxt(csv, points.data, fmt=_FLOAT_FMT, delimiter=",")
+    _write_text(args.out, csv.getvalue())
     truth = {
         "kind": spec.kind,
         "n_points": spec.n_points,
@@ -159,8 +161,8 @@ def cmd_generate(args) -> int:
         "labels": labels.tolist(),
         "centers": None if centers is None else centers.tolist(),
     }
-    out.with_suffix(".truth.json").write_text(
-        json.dumps(truth, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_text(str(Path(args.out).with_suffix(".truth.json")),
+                json.dumps(truth, sort_keys=True, separators=(",", ":")) + "\n")
     return 0
 
 
@@ -266,9 +268,14 @@ def cmd_compare(args) -> int:
     for path in (args.a, args.b):
         try:
             payload = json.loads(Path(path).read_text())
-            labels.append(payload["labels"])
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read result file {path}: {exc}") from exc
+        found = payload.get("labels") if isinstance(payload, dict) else None
+        if not (isinstance(found, list)
+                and all(isinstance(x, int) for x in found)):
+            raise ConfigError(f"result file {path} has no 'labels' list "
+                              f"of integers")
+        labels.append(found)
     if len(labels[0]) != len(labels[1]):
         raise ConfigError(f"label lengths differ: {len(labels[0])} "
                           f"vs {len(labels[1])}")

@@ -23,18 +23,17 @@ from .faster import run_faster
 class ControllerState:
     """Seed-count state carried across retries and across frames.
 
-    ``history`` records every attempt as ``(N, M, accepted)``. ``exhausted``
-    flags an accept forced by N reaching n while still under the L*M bound.
-    ``stream`` numbers the seed-derivation streams so every attempt (and
-    every frame) samples fresh seeds deterministically.
+    ``history`` records every attempt as ``(N, M, accepted)``; its length
+    numbers the seed-derivation stream of the next attempt, so every
+    attempt (and every frame) samples fresh seeds deterministically.
+    ``exhausted`` flags an accept forced by N reaching n while still under
+    the L*M bound.
     """
 
     N: int
-    M_last: int = 0
     retries: int = 0
     history: list = field(default_factory=list)
     exhausted: bool = False
-    stream: int = 0
 
 
 def coverage_probability(N: int, M: int) -> float:
@@ -116,14 +115,12 @@ def run_adaptive(points: VectorSet, cfg: ShiftConfig,
     wall_total = 0.0
     while True:
         result = run_faster(points, state.N, cfg,
-                            rng_seed=_attempt_seed(cfg, state.stream))
-        state.stream += 1
+                            rng_seed=_attempt_seed(cfg, len(state.history)))
         evals_total += result.distance_evals
         wall_total += result.wall_time_s
         M = result.mode_set.m
         action, n_next = next_seed_count(state, M, cfg, points.n)
         state.history.append((state.N, M, action != "retry_now"))
-        state.M_last = M
         if action == "retry_now":
             state.N = n_next
             state.retries += 1

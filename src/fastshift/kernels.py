@@ -1,10 +1,14 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels, two of them with interchangeable backends.
 
-The expensive inner loops (seed-vs-point window reductions and nearest-mode
-label assignment) exist twice: a numba ``@njit`` implementation and a pure
-numpy fallback. The active backend is chosen by the ``FASTSHIFT_BACKEND``
+The window step (seed-vs-point window reductions) and nearest-mode label
+assignment exist twice: a numba ``@njit`` implementation and a pure numpy
+fallback. The active backend is chosen by the ``FASTSHIFT_BACKEND``
 environment variable (``numba`` or ``numpy``; default ``numba`` when numba
-imports) and can be switched at runtime with :func:`set_backend`.
+imports) and can be switched at runtime with :func:`set_backend`. Greedy
+mode pruning is numpy on both backends: it runs one vectorised pass per
+accepted mode, which costs milliseconds next to the window sweeps on the
+benchmark workloads, and a numba twin would be code that cannot be
+measured where numba is missing.
 
 Both backends implement the *same* reduction semantics: per row, points are
 folded in ascending index order into a running sum, counts are exact
@@ -329,68 +333,39 @@ def nearest_labels(points, modes, chunk_size):
 # point contributes a raw mode)
 # ---------------------------------------------------------------------------
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _greedy_prune_numba(cands, supports, h2):
-        r, d = cands.shape
-        accepted = np.empty(r, np.int64)
-        acc_support = np.zeros(r, np.int64)
-        n_acc = 0
-        for i in range(r):
-            nearest = -1
-            nearest_d2 = np.inf
-            inside = False
-            for a in range(n_acc):
-                j = accepted[a]
-                dist2 = 0.0
-                for k in range(d):
-                    diff = cands[i, k] - cands[j, k]
-                    dist2 += diff * diff
-                if dist2 <= h2:
-                    inside = True
-                if dist2 < nearest_d2:
-                    nearest_d2 = dist2
-                    nearest = a
-            if inside:
-                acc_support[nearest] += supports[i]
-            else:
-                accepted[n_acc] = i
-                acc_support[n_acc] = supports[i]
-                n_acc += 1
-        return accepted[:n_acc], acc_support[:n_acc]
-
-
-def _greedy_prune_numpy(cands, supports, h2):
-    accepted: list[int] = []
-    acc_support: list[int] = []
-    acc_pos = np.empty_like(cands)
-    for i in range(cands.shape[0]):
-        if accepted:
-            d2 = sq_dist_block(cands[i:i + 1], acc_pos[:len(accepted)])[0]
-            if bool((d2 <= h2).any()):
-                acc_support[int(np.argmin(d2))] += int(supports[i])
-                continue
-        acc_pos[len(accepted)] = cands[i]
-        accepted.append(i)
-        acc_support.append(int(supports[i]))
-    return (np.asarray(accepted, dtype=np.int64),
-            np.asarray(acc_support, dtype=np.int64))
-
 
 def greedy_prune(cands, supports, h):
     """Greedy accept-if-farther-than-h sweep over pre-sorted candidates.
 
-    Returns ``(accepted_indices, accumulated_supports)``. A rejected
-    candidate's support is folded into the nearest already-accepted one
-    (first index on exact ties).
+    Returns ``(accepted_indices, accumulated_supports)``. A candidate is
+    accepted when no earlier accepted one lies within ``h``; otherwise its
+    support is folded into the nearest earlier accepted one (the earliest
+    on exact ties). The loop runs once per accepted candidate: each one is
+    distance-tested against every later candidate, which updates their
+    nearest accepted mode so far and whether one lies within ``h``.
     """
     cands = as_matrix(cands)
     supports = np.ascontiguousarray(supports, dtype=np.int64)
+    r = cands.shape[0]
     h2 = h * h
-    if _backend == "numba":
-        return _greedy_prune_numba(cands, supports, h2)
-    return _greedy_prune_numpy(cands, supports, h2)
+    owner = np.zeros(r, np.int64)       # position in ``accepted``
+    nearest = np.full(r, np.inf)
+    covered = np.zeros(r + 1, bool)     # entry r is never covered: the end
+    accepted: list[int] = []
+    i = 0
+    while i < r:
+        owner[i] = len(accepted)
+        accepted.append(i)
+        d2 = sq_dist_block(cands[i + 1:], cands[i:i + 1])[:, 0]
+        closer = d2 < nearest[i + 1:]
+        np.copyto(nearest[i + 1:], d2, where=closer)
+        np.copyto(owner[i + 1:], owner[i], where=closer)
+        covered[i + 1:r] |= d2 <= h2
+        # the next candidate to accept is the first later one not covered
+        i += 1 + int(covered[i + 1:].argmin())
+    acc_support = np.zeros(len(accepted), np.int64)
+    np.add.at(acc_support, owner, supports)
+    return np.asarray(accepted, dtype=np.int64), acc_support
 
 
 def row_sq_dist(a, b):

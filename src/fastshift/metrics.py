@@ -22,11 +22,13 @@ BENCH_METHODS = ("baseline", "faster", "faster_adaptive")
 class BenchRecord:
     """One benchmark table row.
 
-    ``peak_batch_bytes`` is the analytic transient-buffer size
-    (rows * chunk * 8 bytes), not process RSS: it is the quantity the
-    chunked design actually bounds. ``rand_index_vs_baseline`` is None
-    when no baseline row exists for the same dataset. Failed rows carry
-    the error in ``status`` and zeros elsewhere.
+    ``peak_batch_bytes`` is the nominal rows * min(chunk, n) * 8 bytes of
+    one unblocked distance buffer, the figure acceptance criterion 5 also
+    computes; it is neither process RSS nor what the kernels allocate,
+    since the numpy kernel blocks its buffers to ``kernels.BLOCK_FLOATS``
+    floats each. ``rand_index_vs_baseline`` is None when no baseline row
+    exists for the same dataset. Failed rows carry the error in ``status``
+    and zeros elsewhere.
     """
 
     method: str

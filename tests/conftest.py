@@ -71,6 +71,39 @@ def scalar_batch_step(rows, points, h):
     return out, counts
 
 
+def scalar_greedy_prune(cands, supports, h):
+    """Plain-python reference for greedy pruning, one candidate at a time.
+
+    A candidate is accepted when no earlier accepted one is within ``h``;
+    otherwise its support goes to the nearest earlier accepted one, the
+    first of them on exact ties. Distances fold coordinates in ascending
+    order, as the kernels do.
+    """
+    cands = np.asarray(cands, dtype=np.float64)
+    h2 = h * h
+    accepted = []
+    acc_support = []
+    for i in range(cands.shape[0]):
+        nearest = None
+        nearest_d2 = np.inf
+        inside = False
+        for a, j in enumerate(accepted):
+            d2 = 0.0
+            for k in range(cands.shape[1]):
+                diff = cands[i, k] - cands[j, k]
+                d2 += diff * diff
+            inside = inside or d2 <= h2
+            if d2 < nearest_d2:
+                nearest, nearest_d2 = a, d2
+        if inside:
+            acc_support[nearest] += int(supports[i])
+        else:
+            accepted.append(i)
+            acc_support.append(int(supports[i]))
+    return (np.asarray(accepted, dtype=np.int64),
+            np.asarray(acc_support, dtype=np.int64))
+
+
 @dataclass(frozen=True)
 class PointTrajectory:
     """End state of one walker: final position, convergence flag, step count."""

@@ -211,6 +211,18 @@ def test_compare_missing_file_exits_2(tmp_path, workspace):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "text", ["[1, 2]\n", '{"labels": 5}\n', '{"labels": [null, 1, 2]}\n'],
+    ids=["top_level_list", "labels_not_list", "labels_not_integers"])
+def test_compare_malformed_result_exits_2(tmp_path, workspace, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    res = run_cli("compare", "--a", str(workspace["base"]), "--b", str(bad))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:")
+    assert "Traceback" not in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -262,16 +274,21 @@ def test_bench_unknown_method_exits_2(tmp_path):
 # output files
 
 
-@pytest.mark.parametrize("command", ["cluster", "bench"])
+@pytest.mark.parametrize("command", ["cluster", "bench", "generate"])
 def test_failed_write_keeps_previous_output(tmp_path, workspace, command):
     out = tmp_path / "out.txt"
-    out.write_text("previous\n")
+    earlier = [out]
     if command == "cluster":
         args = ["cluster", "--input", str(workspace["data"]),
                 "--bandwidth", "0.3", "--no-timing"]
-    else:
+    elif command == "bench":
         args = ["bench", "--sizes", "300", "--methods", "faster",
                 "--repeats", "1"]
+    else:
+        args = ["generate", "--n", "2000"]
+        earlier.append(out.with_suffix(".truth.json"))
+    for path in earlier:
+        path.write_text("previous\n")
 
     def small_files():
         # writes past 64 bytes fail with EFBIG, as they would on a full disk
@@ -282,8 +299,10 @@ def test_failed_write_keeps_previous_output(tmp_path, workspace, command):
         [sys.executable, "-m", "fastshift.cli", *args, "--out", str(out)],
         capture_output=True, text=True, env=env, preexec_fn=small_files)
     assert res.returncode == 1, res.stderr
-    assert out.read_text() == "previous\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    for path in earlier:
+        assert path.read_text() == "previous\n"
+    assert (sorted(p.name for p in tmp_path.iterdir())
+            == sorted(p.name for p in earlier))
 
 
 def test_out_through_symlink_updates_the_linked_file(tmp_path, workspace):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fastshift import kernels
 
-from conftest import make_blobs, scalar_batch_step
+from conftest import make_blobs, scalar_batch_step, scalar_greedy_prune
 
 rng = np.random.default_rng(1234)
 POINTS = rng.normal(size=(257, 3))
@@ -216,21 +216,45 @@ def test_nearest_labels_tie_goes_to_lower_index(backend):
 
 
 def test_greedy_prune_backends_agree(restore_backend):
+    # pruning is numpy on both backends; each must give the reference's
+    # indices and supports exactly
     cands = rng.normal(size=(300, 2))
     supports = rng.integers(1, 10, size=300)
-    kernels.set_backend("numpy")
-    ia, sa = kernels.greedy_prune(cands, supports, 0.8)
-    if kernels.HAS_NUMBA:
-        kernels.set_backend("numba")
-        ib, sb = kernels.greedy_prune(cands, supports, 0.8)
-        assert np.array_equal(ia, ib)
-        assert np.array_equal(sa, sb)
+    ref_idx, ref_sup = scalar_greedy_prune(cands, supports, 0.8)
+    for name in BACKENDS:
+        kernels.set_backend(name)
+        idx, sup = kernels.greedy_prune(cands, supports, 0.8)
+        assert idx.dtype == sup.dtype == np.int64
+        assert np.array_equal(idx, ref_idx), name
+        assert np.array_equal(sup, ref_sup), name
     # every accepted pair is separated by more than h
-    kept = cands[ia]
-    for i in range(len(ia)):
-        for j in range(i + 1, len(ia)):
+    kept = cands[idx]
+    for i in range(len(idx)):
+        for j in range(i + 1, len(idx)):
             assert np.linalg.norm(kept[i] - kept[j]) > 0.8
-    assert sa.sum() == supports.sum()
+    assert sup.sum() == supports.sum()
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_greedy_prune_matches_scalar_on_ties(data):
+    # candidates on multiples of h/2 put accepted modes exactly h away and
+    # make a rejected candidate equidistant from several accepted ones
+    d = data.draw(st.integers(1, 3), label="d")
+    h = data.draw(st.sampled_from([0.3, 0.5, 1.0, 2.5]), label="h")
+    r = data.draw(st.integers(1, 40), label="r")
+    ints = data.draw(st.lists(st.integers(-4, 4), min_size=r * d,
+                              max_size=r * d), label="cells")
+    cands = np.array(ints, dtype=np.float64).reshape(r, d) * (h / 2)
+    if data.draw(st.booleans(), label="coincident"):
+        cands[:] = cands[0]
+    supports = np.array(data.draw(st.lists(st.integers(1, 1000), min_size=r,
+                                           max_size=r), label="supports"))
+    idx, sup = kernels.greedy_prune(cands, supports, h)
+    ref_idx, ref_sup = scalar_greedy_prune(cands, supports, h)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(sup, ref_sup)
+    assert sup.sum() == supports.sum()
 
 
 def test_greedy_prune_folds_support_into_nearest(backend):
