@@ -1,8 +1,8 @@
 """Classical per-point mean-shift: every input point walks to its mode.
 
 This engine is the correctness reference for the seeded engine and the
-slow column of the benchmark. No neighbor index, no sampling; each walker
-repeatedly moves to the mean of the points inside its bandwidth window.
+slow column of the benchmark. No sampling; each walker repeatedly moves to
+the mean of the points inside its bandwidth window.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 output I/O failure, 2 usage or configuration
 error (bad flags, unreadable/unparseable input, degenerate bandwidth),
-3 algorithmic failure (no converged seeds, no surviving modes).
+3 algorithmic or resource failure (no converged seeds, no surviving
+modes, out of memory).
 
 All randomness flows from ``--seed``; identical invocations write
 identical bytes. ``--no-timing`` zeroes the one non-repeatable field
@@ -28,6 +29,7 @@ from . import kernels
 from .baseline import run_baseline
 from .controller import run_adaptive
 from .core import (
+    MAX_SAMPLE_CAP,
     ConfigError,
     NoConvergedSeedsError,
     NoModesError,
@@ -289,7 +291,8 @@ def _add_common_cluster_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quantile", type=float, default=0.3,
                    help="neighbor quantile for bandwidth estimation")
     p.add_argument("--sample-cap", type=int, default=500,
-                   help="max points sampled by the bandwidth estimator")
+                   help="max points sampled by the bandwidth estimator, "
+                        f"at most {MAX_SAMPLE_CAP} (its time is quadratic)")
     p.add_argument("--tol", type=float, default=1e-3,
                    help="convergence tolerance as a fraction of h")
     p.add_argument("--max-iter", type=int, default=300)
@@ -365,8 +368,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NoModesError, NoConvergedSeedsError) as exc:
-        _fail(str(exc))
+    except (NoModesError, NoConvergedSeedsError, MemoryError) as exc:
+        _fail(str(exc) or "out of memory")
         return 3
     except ValueError as exc:  # includes ConfigError
         _fail(str(exc))

@@ -146,11 +146,13 @@ def lockstep(start, points: VectorSet, cfg: ShiftConfig, stop_fraction: float):
     converged = np.zeros(n_walkers, dtype=bool)
     sweeps = 0
     evals = 0
+    # the points never move, so one cell index serves every sweep
+    index = kernels.cell_index(points.data, cfg.bandwidth_h)
     while sweeps < cfg.max_iter and not converged.all():
         idx = np.flatnonzero(~converged)
         rows = positions[idx]
         moved, _ = kernels.batch_step(rows, points.data, cfg.bandwidth_h,
-                                      cfg.chunk_size)
+                                      cfg.chunk_size, index)
         evals += idx.size * points.n
         sweeps += 1
         converged[idx] = kernels.row_sq_dist(moved, rows) <= thresh2
@@ -174,6 +176,11 @@ def kde_value(x, points: VectorSet, h: float) -> float:
     return float(profile.sum() / (points.n * h ** points.d))
 
 
+# the bandwidth estimate takes time quadratic in its sample: 20,000 points
+# take about 5 s on one CPU, so larger caps are rejected, not left to run
+MAX_SAMPLE_CAP = 20_000
+
+
 def estimate_bandwidth(points: VectorSet, quantile: float = 0.3,
                        sample_cap: int = 500, rng_seed: int = 0) -> float:
     """Quantile k-nearest-neighbour bandwidth heuristic.
@@ -191,8 +198,9 @@ def estimate_bandwidth(points: VectorSet, quantile: float = 0.3,
         raise ValueError(f"need at least 2 points, got {points.n}")
     if not (0.0 < quantile < 1.0):
         raise ConfigError(f"quantile must be in (0, 1), got {quantile}")
-    if sample_cap < 2:
-        raise ConfigError(f"sample_cap must be >= 2, got {sample_cap}")
+    if not (2 <= sample_cap <= MAX_SAMPLE_CAP):
+        raise ConfigError(f"sample_cap must be in [2, {MAX_SAMPLE_CAP}], "
+                          f"got {sample_cap}")
     if sample_cap >= points.n:
         sample = points.data
     else:

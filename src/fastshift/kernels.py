@@ -1,34 +1,26 @@
-"""Hot numeric kernels, two of them with interchangeable backends.
+"""Hot numeric kernels; only the window step has two backends.
 
-The window step (seed-vs-point window reductions) and nearest-mode label
-assignment exist twice: a numba ``@njit`` implementation and a pure numpy
-fallback. The active backend is chosen by the ``FASTSHIFT_BACKEND``
-environment variable (``numba`` or ``numpy``; default ``numba`` when numba
-imports) and can be switched at runtime with :func:`set_backend`. Greedy
-mode pruning is numpy on both backends: it runs one vectorised pass per
-accepted mode, which costs milliseconds next to the window sweeps on the
-benchmark workloads, and a numba twin would be code that cannot be
-measured where numba is missing.
+The window step (seed-vs-point window reductions) runs one block loop on
+both backends, and only its inner kernel exists twice: a numba ``@njit``
+loop and a pure numpy fallback. ``FASTSHIFT_BACKEND`` (``numba`` or
+``numpy``; default ``numba`` when numba imports) picks it at import, and
+:func:`set_backend` at runtime. Nearest-mode labels and greedy mode
+pruning are numpy on both backends: each costs milliseconds next to the
+window sweeps on the benchmark workloads, and a numba twin would be code
+that cannot be measured where numba is missing.
 
-Both backends implement the *same* reduction semantics: per row, points are
-folded in ascending index order into a running sum, counts are exact
-integers, and a single division produces the mean. The numpy path preserves
-the fold order across chunk boundaries by carrying the accumulator into
-``np.add.accumulate`` (a strict sequential scan), so results are
-bit-identical for any ``chunk_size`` and for any thread count, and match
-the numba loops bit for bit.
+Both inner kernels implement the *same* reduction semantics: per row,
+points are folded in ascending index order into a running sum, counts are
+exact integers, and a single division produces the mean. The numpy kernel
+preserves the fold order across chunk boundaries by carrying the
+accumulator into ``np.add.accumulate`` (a strict sequential scan), so
+results are bit-identical for any ``chunk_size`` and for any thread count,
+and match the numba loop bit for bit.
 
-The numpy window step does not distance-test every (row, point) pair. A
-uniform grid of cell side just over ``h`` groups the rows by cell, and each
-group is tested only against the points of its 3^d neighbour cells, kept in
-ascending index order. A point the grid drops is more than ``h`` away on
-one axis, so its computed squared distance exceeds ``h * h`` and it would
-have added nothing to the fold: results are the brute-force bytes. That
-holds while every coordinate is within ``2**28 * h`` in magnitude and
-``h * h`` is a normal float; otherwise every point is a candidate. The
-numba window step tests every pair: the grid's candidate selection makes
-numpy passes over all points per cell group, which may cost more than the
-fused numba loop, and that has not been measured.
+The window step tests each row only against the points of the cells
+around it, found through an index the points are sorted into once
+(:func:`cell_index`). The grid drops only points the kernel would reject,
+so results are the brute-force bytes.
 """
 
 from __future__ import annotations
@@ -179,24 +171,6 @@ def _scratch(pool, key, shape):
     return buf[:size].reshape(shape)
 
 
-def _batch_step_numpy(rows, points, h2, chunk_size, pool):
-    # row-block so the m-by-chunk buffers stay within BLOCK_FLOATS even when
-    # a caller batches every input point as a row; rows are independent, so
-    # blocking cannot change any value
-    m = rows.shape[0]
-    blk_rows = max(1, BLOCK_FLOATS // max(1, min(chunk_size, points.shape[0])))
-    if m <= blk_rows:
-        return _batch_step_numpy_block(rows, points, h2, chunk_size, pool)
-    out = np.empty_like(rows)
-    counts = np.empty(m, np.int64)
-    for lo in range(0, m, blk_rows):
-        o, c = _batch_step_numpy_block(rows[lo:lo + blk_rows], points, h2,
-                                       chunk_size, pool)
-        out[lo:lo + blk_rows] = o
-        counts[lo:lo + blk_rows] = c
-    return out, counts
-
-
 def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
     m, d = rows.shape
     n = points.shape[0]
@@ -223,64 +197,107 @@ def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
     return out, counts
 
 
-def _grid_exact(rows, points, h):
-    """Whether the cell grid drops only points the kernel would reject.
+def _within_reach(x, h):
+    return bool(np.abs(x).max(initial=0.0) <= 2.0 ** 28 * h)
 
-    A dropped point is two or more cells from the row on some axis. With
-    every coordinate within ``2**28 * h``, a computed cell position is off
-    by under ``2**-23`` cells, so the exact gap on that axis exceeds
+
+def _cells(x, lo, side, axes):
+    """Grid cell of every row of ``x`` on the key axes, as ``(major, minor)``
+    int64 arrays; with a single key axis every minor cell is 0."""
+    cells = [np.floor((x[:, k] - lo[k]) / side).astype(np.int64) for k in axes]
+    return cells[0], cells[1] if len(cells) > 1 else np.zeros_like(cells[0])
+
+
+def cell_index(points, h):
+    """Sort ``points`` once by grid cell for :func:`batch_step` at radius ``h``.
+
+    Cells have side ``h * (1 + 2**-20)``, start at the points' per-axis
+    minimum ``lo`` and are keyed on the two widest axes in axis order (the
+    one axis when d = 1). Returns ``(lo, side, axes, width, keys, order)``:
+    ``order`` sorts the points stably by cell key ``major * width + minor``,
+    and ``keys`` are the sorted keys. Returns ``None`` when the grid is not
+    exact: ``h * h`` is not a normal float, or a coordinate exceeds
+    ``2**28 * h`` in magnitude.
+
+    Exactness: the grid drops a point only when it is two or more cells
+    from the row on a key axis. Within that reach a computed cell position
+    is off by under ``2**-23`` cells, so the exact gap on that axis exceeds
     ``h * (1 + 2**-21)``, and the few roundings in the squared distance
-    cannot bring it down to ``h * h``. A normal ``h * h`` keeps the squares
-    clear of underflow; a non-positive or non-finite ``h`` fails the test.
+    cannot bring it down to ``h * h``; a normal ``h * h`` keeps the squares
+    clear of underflow. Each axis then spans at most 2^29 + 2 cells, so
+    keys fit in int64.
     """
-    if rows.size == 0 or points.size == 0:
-        return False
-    if not (np.isfinite(h * h) and h * h >= np.finfo(np.float64).tiny):
-        return False
-    reach = 2.0 ** 28 * h
-    return bool(np.abs(points).max() <= reach and np.abs(rows).max() <= reach)
+    points = as_matrix(points)
+    if not (np.isfinite(h * h) and h * h >= np.finfo(np.float64).tiny
+            and points.shape[0] and _within_reach(points, h)):
+        return None
+    side = h * (1.0 + 2.0 ** -20)
+    lo = points.min(axis=0)
+    axes = np.sort(np.argsort(lo - points.max(axis=0), kind="stable")[:2])
+    keys, minor = _cells(points, lo, side, axes)
+    width = int(minor.max()) + 1
+    keys *= width
+    keys += minor
+    del minor
+    order = np.argsort(keys, kind="stable")
+    return lo, side, axes, width, keys[order], order
 
 
-def batch_step(rows, points, h, chunk_size):
+def _blocks(rows, points, h, index):
+    """Yield ``(members, candidates)``: the indices of the rows in one grid
+    cell and the points of its 3 by 3 neighbour cells, in ascending index
+    order; or one block of every row and point when there is no exact grid.
+    """
+    if index is None or not _within_reach(rows, h):
+        yield np.arange(rows.shape[0]), points
+        return
+    lo, side, axes, width, keys, order = index
+    cells, inverse = np.unique(np.stack(_cells(rows, lo, side, axes), axis=1),
+                               axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    groups = np.split(np.argsort(inverse, kind="stable"),
+                      np.cumsum(np.bincount(inverse))[:-1])
+    # three key ranges per group, one per major neighbour cell, each over
+    # the minor neighbour cells that exist
+    base = (cells[:, :1] + np.arange(-1, 2)) * width
+    starts = keys.searchsorted(base + np.maximum(cells[:, 1:] - 1, 0), "left")
+    stops = keys.searchsorted(base + np.minimum(cells[:, 1:] + 1, width - 1),
+                              "right")
+    for members, first, last in zip(groups, starts, stops):
+        # gather at once, so only the candidate points outlive this line
+        yield members, points[np.sort(np.concatenate(
+            [order[a:b] for a, b in zip(first, last)]), kind="stable")]
+
+
+def batch_step(rows, points, h, chunk_size, index=None):
     """Move each row to the mean of all points within distance ``h`` of it.
 
     Rows with an empty window stay put. Returns ``(new_rows, window_counts)``.
-    On the numpy backend, rows are grouped by the cell of a uniform grid of
-    side just over ``h`` and each group is tested only against the points
-    of its 3^d neighbour cells, in ascending index order; the bytes are
-    those of testing every (row, point) pair. That holds while every
-    coordinate is within ``2**28 * h`` in magnitude and ``h * h`` is a
-    normal float, and every point is tested otherwise. The numba backend
-    tests every point. Callers count ``rows.shape[0] * points.shape[0]``
-    distance evaluations per call, the nominal work of the exhaustive
-    test, whatever the grid saves.
+    ``index`` is ``cell_index(points, h)``, built here when not given. Each
+    block of :func:`_blocks` runs the active backend's kernel, and the bytes
+    are those of testing every (row, point) pair. Callers count rows times
+    points distance evaluations per call, whatever the grid saves.
     """
     rows = as_matrix(rows)
     points = as_matrix(points)
+    if index is None:
+        index = cell_index(points, h)
     h2 = h * h
-    if _backend == "numba":
-        return _batch_step_numba(rows, points, h2)
     pool = {}
-    if not _grid_exact(rows, points, h):
-        return _batch_step_numpy(rows, points, h2, chunk_size, pool)
-    side = h * (1.0 + 2.0 ** -20)
-    lo = points.min(axis=0)
-    # point cells axis by axis (d by n), so each test below is a flat pass
-    pcell = np.floor((points.T - lo[:, None]) / side).astype(np.int64)
-    rcell = np.floor((rows - lo) / side).astype(np.int64)
-    cells, inverse = np.unique(rcell, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.cumsum(np.bincount(inverse))[:-1]
     out = np.empty_like(rows)
     counts = np.empty(rows.shape[0], np.int64)
-    near = np.empty(points.shape[0], bool)
-    for cell, members in zip(cells, np.split(order, bounds)):
-        near.fill(True)
-        for k, c in enumerate(cell):
-            near &= np.abs(pcell[k] - c) <= 1
-        out[members], counts[members] = _batch_step_numpy(
-            rows[members], points[np.flatnonzero(near)], h2, chunk_size, pool)
+    for members, cand in _blocks(rows, points, h, index):
+        # row-block so the rows-by-chunk buffers stay within BLOCK_FLOATS
+        # even when a caller batches every input point as a row; rows are
+        # independent, so blocking cannot change any value
+        step = max(1, BLOCK_FLOATS // max(1, min(chunk_size, cand.shape[0])))
+        for lo in range(0, members.size, step):
+            sub = members[lo:lo + step]
+            if _backend == "numba":
+                out[sub], counts[sub] = _batch_step_numba(rows[sub], cand, h2)
+            else:
+                out[sub], counts[sub] = _batch_step_numpy_block(
+                    rows[sub], cand, h2, chunk_size, pool)
     return out, counts
 
 
@@ -288,44 +305,16 @@ def batch_step(rows, points, h, chunk_size):
 # nearest-mode labels
 # ---------------------------------------------------------------------------
 
-if HAS_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _nearest_labels_numba(points, modes):
-        n, d = points.shape
-        m = modes.shape[0]
-        labels = np.empty(n, np.int64)
-        for i in prange(n):
-            best = 0
-            best_d2 = np.inf
-            for j in range(m):
-                dist2 = 0.0
-                for k in range(d):
-                    diff = points[i, k] - modes[j, k]
-                    dist2 += diff * diff
-                if dist2 < best_d2:
-                    best_d2 = dist2
-                    best = j
-            labels[i] = best
-        return labels
-
-
-def _nearest_labels_numpy(points, modes, chunk_size):
-    n = points.shape[0]
-    labels = np.empty(n, np.int64)
-    for lo in range(0, n, chunk_size):
-        d2 = sq_dist_block(points[lo:lo + chunk_size], modes)
-        labels[lo:lo + chunk_size] = np.argmin(d2, axis=1)
-    return labels
-
 
 def nearest_labels(points, modes, chunk_size):
     """Index of the closest mode per point; ties go to the lower index."""
     points = as_matrix(points)
     modes = as_matrix(modes)
-    if _backend == "numba":
-        return _nearest_labels_numba(points, modes)
-    return _nearest_labels_numpy(points, modes, chunk_size)
+    labels = np.empty(points.shape[0], np.int64)
+    for lo in range(0, points.shape[0], chunk_size):
+        d2 = sq_dist_block(points[lo:lo + chunk_size], modes)
+        labels[lo:lo + chunk_size] = np.argmin(d2, axis=1)
+    return labels
 
 
 # ---------------------------------------------------------------------------

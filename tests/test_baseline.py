@@ -92,9 +92,9 @@ def test_distance_evals_counts_window_scans_exactly(monkeypatch):
     seen = []
     orig = kernels.batch_step
 
-    def spy(rows, points, h, chunk_size):
+    def spy(rows, points, h, chunk_size, index=None):
         seen.append(rows.shape[0] * points.shape[0])
-        return orig(rows, points, h, chunk_size)
+        return orig(rows, points, h, chunk_size, index)
 
     monkeypatch.setattr(kernels, "batch_step", spy)
     res = run_baseline(pts, cfg)
@@ -142,16 +142,15 @@ def test_unconverged_walkers_still_reported():
 
 
 def test_quadratic_growth_in_n():
-    # fixed two sweeps for every walker: work is exactly 2 n^2
-    def timed(n):
-        pts, _, _ = make_blobs(n=n, k=10, sigma=0.1, seed=5)
-        cfg = ShiftConfig(bandwidth_h=0.3, conv_tol=1e-12, max_iter=2)
-        walls = []
-        for _ in range(5):
-            walls.append(run_baseline(pts, cfg).wall_time_s)
-        return statistics.median(walls)
-
-    timed(500)  # warm the kernels before measuring
-    t1 = timed(2000)
-    t2 = timed(4000)
+    # fixed two sweeps for every walker: work is exactly 2 n^2; the two
+    # sizes' runs alternate, so a change in machine load hits both alike
+    cfg = ShiftConfig(bandwidth_h=0.3, conv_tol=1e-12, max_iter=2)
+    data = {n: make_blobs(n=n, k=10, sigma=0.1, seed=5)[0]
+            for n in (500, 2000, 4000)}
+    run_baseline(data[500], cfg)  # warm the kernels before measuring
+    walls = {2000: [], 4000: []}
+    for _ in range(5):
+        for n, samples in walls.items():
+            samples.append(run_baseline(data[n], cfg).wall_time_s)
+    t1, t2 = (statistics.median(walls[n]) for n in (2000, 4000))
     assert t2 / t1 <= 4.5, f"doubling n cost {t2 / t1:.2f}x"

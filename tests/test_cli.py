@@ -142,6 +142,35 @@ def test_cluster_missing_input_exits_2(tmp_path):
     assert "error:" in res.stderr
 
 
+def test_cluster_sample_cap_over_limit_exits_2(workspace):
+    # the bandwidth estimate is quadratic in its sample: a cap over the
+    # limit is refused at once instead of running for minutes
+    res = run_cli("cluster", "--input", str(workspace["data"]),
+                  "--sample-cap", "200000")
+    assert res.returncode == 2
+    assert res.stderr.strip().splitlines()[-1] == (
+        "error: sample_cap must be in [2, 20000], got 200000")
+    assert "Traceback" not in res.stderr
+
+
+def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
+    # stands in for `generate --n 1000000000000`, without allocating
+    from fastshift import cli
+
+    for raised, message in ((MemoryError("Unable to allocate 14.6 TiB"),
+                             "Unable to allocate 14.6 TiB"),
+                            (MemoryError(), "out of memory")):
+        def generate(spec):
+            raise raised
+
+        monkeypatch.setattr(cli, "generate", generate)
+        out = tmp_path / "x.csv"
+        assert cli.main(["generate", "--n", "1000000000000",
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def test_cluster_no_converged_seeds_exits_3(workspace):
     res = run_cli("cluster", "--input", str(workspace["data"]),
                   "--method", "faster", "--seeds", "1", "--max-iter", "1",

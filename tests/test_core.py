@@ -19,6 +19,7 @@ from fastshift import (
     kde_value,
     prune_modes,
 )
+from fastshift.core import MAX_SAMPLE_CAP
 
 from conftest import euclidean_distance, window_mask
 
@@ -213,6 +214,10 @@ def test_bandwidth_validation():
         estimate_bandwidth(vs, sample_cap=0)
     with pytest.raises(ConfigError):  # one point has no neighbour
         estimate_bandwidth(vs, sample_cap=1)
+    # the time is quadratic in the sample, so the cap has a ceiling
+    assert estimate_bandwidth(vs, sample_cap=MAX_SAMPLE_CAP) > 0
+    with pytest.raises(ConfigError, match="sample_cap"):
+        estimate_bandwidth(vs, sample_cap=MAX_SAMPLE_CAP + 1)
 
 
 def test_bandwidth_row_blocked_matches_full_matrix_in_bounded_memory():

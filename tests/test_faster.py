@@ -62,9 +62,9 @@ def _spy_batch_step(monkeypatch):
     rows_seen = []
     orig = kernels.batch_step
 
-    def spy(rows, points, h, chunk_size):
+    def spy(rows, points, h, chunk_size, index=None):
         rows_seen.append(rows.shape[0])
-        return orig(rows, points, h, chunk_size)
+        return orig(rows, points, h, chunk_size, index)
 
     monkeypatch.setattr(kernels, "batch_step", spy)
     return rows_seen
@@ -221,9 +221,9 @@ def test_work_bound_counts_moving_times_n(monkeypatch):
     seen = []
     orig = kernels.batch_step
 
-    def spy(rows, points, h, chunk_size):
+    def spy(rows, points, h, chunk_size, index=None):
         seen.append(rows.shape[0] * points.shape[0])
-        return orig(rows, points, h, chunk_size)
+        return orig(rows, points, h, chunk_size, index)
 
     monkeypatch.setattr(kernels, "batch_step", spy)
     res = run_faster(pts, 50, ShiftConfig(bandwidth_h=0.3, rng_seed=1))
@@ -231,6 +231,29 @@ def test_work_bound_counts_moving_times_n(monkeypatch):
     # each sweep is (moving seeds) * n; moving seeds never grows
     moving = [c // pts.n for c in seen]
     assert all(a >= b for a, b in zip(moving, moving[1:]))
+
+
+def test_cell_index_built_once_per_run(monkeypatch):
+    # the points never move, so each engine run sorts them by cell once and
+    # every sweep's batch_step reuses that index
+    pts, _, _ = make_blobs(n=400, k=4, sigma=0.1, seed=5)
+    cfg = ShiftConfig(bandwidth_h=0.3, rng_seed=1)
+    steps = _spy_batch_step(monkeypatch)
+    built = []
+    orig = kernels.cell_index
+
+    def spy(points, h):
+        built.append(h)
+        return orig(points, h)
+
+    monkeypatch.setattr(kernels, "cell_index", spy)
+    for run in (lambda: run_faster(pts, 50, cfg),
+                lambda: run_baseline(pts, cfg)):
+        built.clear()
+        steps.clear()
+        run()
+        assert built == [0.3]
+        assert len(steps) > 1
 
 
 def test_no_converged_seeds_raises():

@@ -56,17 +56,21 @@ def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
     big_rows = rng.normal(size=(1500, 2))
     pts = rng.normal(size=(3000, 2))
     kernels.set_backend("numpy")
-    blocked_calls = []
-    numpy_step = kernels._batch_step_numpy
+    calls = []
+    numpy_block = kernels._batch_step_numpy_block
 
     def spy(rows, points, h2, chunk_size, pool):
         budget = kernels.BLOCK_FLOATS // min(chunk_size, points.shape[0])
-        blocked_calls.append(rows.shape[0] > budget)
-        return numpy_step(rows, points, h2, chunk_size, pool)
+        calls.append((rows.shape[0], budget))
+        return numpy_block(rows, points, h2, chunk_size, pool)
 
-    monkeypatch.setattr(kernels, "_batch_step_numpy", spy)
+    monkeypatch.setattr(kernels, "_batch_step_numpy_block", spy)
     blocked, cb = kernels.batch_step(big_rows, pts, 1.2, 3000)
-    assert any(blocked_calls)
+    # every call fits the budget, some take a whole row block, and together
+    # they cover every row once
+    assert all(r <= budget for r, budget in calls)
+    assert any(r == budget for r, budget in calls)
+    assert sum(r for r, _ in calls) == big_rows.shape[0]
     ref, cr = scalar_batch_step(big_rows[:13], pts, 1.2)
     assert blocked[:13].tobytes() == ref.tobytes()
     if kernels.HAS_NUMBA:
@@ -77,12 +81,12 @@ def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
 
 
 def test_batch_step_empty_window_keeps_row(backend):
-    # 1e6 is inside the grid's coordinate limit (2**28 * H), so on numpy the
-    # row gets an empty candidate set; 1e9 is beyond it and every point is
-    # tested
+    # 1e6 is inside the grid's coordinate limit (2**28 * H), so the row gets
+    # an empty candidate set; 1e9 is beyond it and every point is tested
+    assert kernels.cell_index(POINTS, H) is not None
     for coord, gridded in ((1e6, True), (1e9, False)):
         far = np.full((1, 3), coord)
-        assert kernels._grid_exact(far, POINTS, H) is gridded
+        assert (coord <= 2.0 ** 28 * H) is gridded
         out, counts = kernels.batch_step(far, POINTS, H, 64)
         assert counts[0] == 0
         assert out.tobytes() == far.tobytes()
@@ -107,11 +111,14 @@ def test_batch_step_grid_matches_scalar_on_cell_boundaries(data):
                               max_size=len(picks) * d), label="offsets")
     rows = pts[picks] + np.array(offs).reshape(len(picks), d)
     chunk = data.draw(st.sampled_from([1, 3, 64]), label="chunk")
-    assert kernels._grid_exact(rows, pts, h)
-    out, counts = kernels.batch_step(rows, pts, h, chunk)
+    index = kernels.cell_index(pts, h)
+    assert index is not None
     ref, ref_counts = scalar_batch_step(rows, pts, h)
-    assert out.tobytes() == ref.tobytes()
-    assert np.array_equal(counts, ref_counts)
+    # built inside the call, and prebuilt once as core.lockstep does
+    for given in (None, index):
+        out, counts = kernels.batch_step(rows, pts, h, chunk, given)
+        assert out.tobytes() == ref.tobytes()
+        assert np.array_equal(counts, ref_counts)
 
 
 def test_batch_step_grid_coordinate_limit_bitwise(backend):
@@ -125,7 +132,8 @@ def test_batch_step_grid_coordinate_limit_bitwise(backend):
         pts = np.concatenate([near_edge, -near_edge[::5]])
         rows = np.concatenate([near_edge[::3] - [h, 0.0],
                                near_edge[1::4] + [0.0, h], -near_edge[:2]])
-        assert kernels._grid_exact(rows, pts, h) is gridded
+        assert (kernels.cell_index(pts, h) is not None) is gridded
+        assert bool(np.abs(rows).max() <= reach) is gridded
         out, counts = kernels.batch_step(rows, pts, h, 16)
         ref, ref_counts = scalar_batch_step(rows, pts, h)
         assert out.tobytes() == ref.tobytes(), f"edge={edge!r}"
@@ -138,7 +146,7 @@ def test_batch_step_underflowing_window_tests_every_point(backend):
     h = 1e-170
     pts = np.array([[0.0], [2.5e-170]])
     rows = np.array([[0.0]])
-    assert not kernels._grid_exact(rows, pts, h)
+    assert kernels.cell_index(pts, h) is None
     out, counts = kernels.batch_step(rows, pts, h, 64)
     ref, ref_counts = scalar_batch_step(rows, pts, h)
     assert counts.tolist() == ref_counts.tolist() == [2]
@@ -152,13 +160,13 @@ def test_batch_step_grid_prunes_candidates(restore_backend, monkeypatch):
     rows = points.data[::50]
     kernels.set_backend("numpy")
     pairs = []
-    numpy_step = kernels._batch_step_numpy
+    numpy_block = kernels._batch_step_numpy_block
 
     def spy(r, p, *rest):
         pairs.append(r.shape[0] * p.shape[0])
-        return numpy_step(r, p, *rest)
+        return numpy_block(r, p, *rest)
 
-    monkeypatch.setattr(kernels, "_batch_step_numpy", spy)
+    monkeypatch.setattr(kernels, "_batch_step_numpy_block", spy)
     out, counts = kernels.batch_step(rows, points.data, 0.3, 4096)
     assert sum(pairs) < rows.shape[0] * points.n / 4
     ref, ref_counts = scalar_batch_step(rows, points.data, 0.3)
@@ -166,22 +174,38 @@ def test_batch_step_grid_prunes_candidates(restore_backend, monkeypatch):
     assert np.array_equal(counts, ref_counts)
 
 
-def test_batch_step_numba_tests_every_point(restore_backend, monkeypatch):
-    # the grid is numpy-only: the numba kernel gets all rows and points in
-    # one call (a stand-in kernel, so this runs without numba too)
+def test_batch_step_numba_kernel_gets_grid_blocks(restore_backend,
+                                                  monkeypatch):
+    # both backends run the same block loop: the numba kernel (a stand-in,
+    # so this runs without numba too) gets exactly the numpy kernel's
+    # blocks, which together hold every row once
     points, _, _ = make_blobs(n=3000, k=10, sigma=0.1, seed=3)
     rows = points.data[::50]
-    seen = []
 
-    def numba_step(r, p, h2):
-        seen.append((r.shape, p.shape, h2))
-        return scalar_batch_step(r, p, 0.3)
+    def blocks_of(backend, name, step):
+        seen = []
 
-    monkeypatch.setattr(kernels, "_backend", "numba")
-    monkeypatch.setattr(kernels, "_batch_step_numba", numba_step,
-                        raising=False)
-    kernels.batch_step(rows, points.data, 0.3, 4096)
-    assert seen == [(rows.shape, points.data.shape, 0.3 * 0.3)]
+        def kernel(r, p, *rest):
+            seen.append((r.tobytes(), p.tobytes(), rest[0]))
+            return step(r, p, *rest)
+
+        monkeypatch.setattr(kernels, "_backend", backend)
+        monkeypatch.setattr(kernels, name, kernel, raising=False)
+        out, _ = kernels.batch_step(rows, points.data, 0.3, 4096)
+        return seen, out
+
+    numpy_seen, numpy_out = blocks_of(
+        "numpy", "_batch_step_numpy_block", kernels._batch_step_numpy_block)
+    numba_seen, numba_out = blocks_of(
+        "numba", "_batch_step_numba",
+        lambda r, p, h2: scalar_batch_step(r, p, 0.3))
+    assert numba_seen == numpy_seen
+    assert len(numba_seen) > 1 and all(h2 == 0.3 * 0.3
+                                       for _, _, h2 in numba_seen)
+    member_rows = np.concatenate([np.frombuffer(r).reshape(-1, 2)
+                                  for r, _, _ in numba_seen])
+    assert sorted(map(bytes, member_rows)) == sorted(map(bytes, rows))
+    assert numba_out.tobytes() == numpy_out.tobytes()
 
 
 def test_thread_count_does_not_change_bits(restore_backend):
