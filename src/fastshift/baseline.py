@@ -51,7 +51,7 @@ def run_baseline(points: VectorSet, cfg: ShiftConfig) -> ClusterResult:
     positions, _, sweeps, evals = lockstep(points.data, points, cfg, 1.0)
     mode_set = prune_modes(positions, np.ones(points.n, dtype=np.int64),
                            cfg.bandwidth_h, cfg.min_mode_support)
-    labels = assign_labels(points, mode_set, cfg.chunk_size)
+    labels = assign_labels(points, mode_set)
     return ClusterResult(
         labels=labels,
         mode_set=mode_set,

@@ -301,7 +301,7 @@ def _add_common_cluster_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-support", type=int, default=1,
                    help="drop modes with accumulated support below this")
     p.add_argument("--chunk-size", type=int, default=4096,
-                   help="points per distance-buffer chunk")
+                   help="points per window-step chunk")
     p.add_argument("--threads", type=int, default=None,
                    help="worker thread cap (default: FASTSHIFT_THREADS or all)")
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")

@@ -209,17 +209,14 @@ def estimate_bandwidth(points: VectorSet, quantile: float = 0.3,
         sample = points.data[idx]
     s = sample.shape[0]
     k_nn = max(1, int(np.floor(quantile * s)))
-    # row blocks of BLOCK_FLOATS distances bound the memory at any sample
-    # size; the k-th smallest of a row is the same value however it is found
+    # row blocks bound the memory at any sample size; the k-th smallest of
+    # a row is the same value however it is found
     kth = np.empty(s)
-    blk = max(1, kernels.BLOCK_FLOATS // s)
-    for lo in range(0, s, blk):
-        d2 = kernels.sq_dist_block(sample[lo:lo + blk], sample)
-        kth[lo:lo + blk] = np.partition(d2, k_nn, axis=1)[:, k_nn]
-    kth = np.sqrt(kth)
+    for block in kernels.row_blocks(s, s):
+        d2 = kernels.sq_dist_block(sample[block], sample)
+        kth[block] = np.partition(d2, k_nn, axis=1)[:, k_nn]
     # summing in sorted order makes the estimate independent of row order
-    kth.sort()
-    return float(np.cumsum(kth)[-1] / s)
+    return float(np.cumsum(np.sort(np.sqrt(kth)))[-1] / s)
 
 
 def prune_modes(raw_modes, supports, h: float, min_mode_support: int = 1) -> ModeSet:
@@ -261,9 +258,8 @@ def _support_lex_order(positions: np.ndarray, supports: np.ndarray) -> np.ndarra
     return np.lexsort(keys + (-supports,))
 
 
-def assign_labels(points: VectorSet, mode_set: ModeSet,
-                  chunk_size: int = 4096) -> np.ndarray:
+def assign_labels(points: VectorSet, mode_set: ModeSet) -> np.ndarray:
     """Label every point with the index of its nearest mode (ties: lowest)."""
     if mode_set.m < 1:
         raise ValueError("mode set is empty")
-    return kernels.nearest_labels(points.data, mode_set.modes, chunk_size)
+    return kernels.nearest_labels(points.data, mode_set.modes)

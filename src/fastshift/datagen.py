@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kernels
 from .core import VectorSet
 
 KINDS = ("blobs", "large_var_blobs", "varied_var_blobs", "uniform_square",
@@ -45,10 +46,12 @@ class GenSpec:
         if not (self.n_points >= self.n_clusters >= 1):
             raise ValueError(f"need n_points >= n_clusters >= 1, got "
                              f"{self.n_points} and {self.n_clusters}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.box_extent <= 0:
-            raise ValueError(f"box_extent must be > 0, got {self.box_extent}")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, "
+                             f"got {self.noise_sigma}")
+        if not (np.isfinite(2.0 * self.box_extent) and self.box_extent > 0):
+            raise ValueError(f"box_extent must be > 0 with a finite span "
+                             f"2 * box_extent, got {self.box_extent}")
 
 
 def _place_centers(rng: np.random.Generator, k: int, box_extent: float,
@@ -56,11 +59,10 @@ def _place_centers(rng: np.random.Generator, k: int, box_extent: float,
     centers = np.empty((k, 2))
     placed = 0
     for _ in range(_MAX_PLACEMENT_TRIES):
-        cand = rng.uniform(-box_extent, box_extent, size=2)
-        if placed:
-            diff = centers[:placed] - cand
-            if (np.sqrt((diff * diff).sum(axis=1)) < min_sep).any():
-                continue
+        cand = rng.uniform(-box_extent, box_extent, size=(1, 2))
+        if (np.sqrt(kernels.sq_dist_block(centers[:placed], cand))
+                < min_sep).any():
+            continue
         centers[placed] = cand
         placed += 1
         if placed == k:
@@ -138,9 +140,8 @@ def generate(spec: GenSpec):
     if spec.kind == "blobs":
         return gen_blobs(spec)
     if spec.kind == "large_var_blobs":
-        vs, labels, centers = gen_blobs(
+        return gen_blobs(
             replace(spec, kind="blobs", noise_sigma=3.0 * spec.noise_sigma))
-        return vs, labels, centers
     if spec.kind == "varied_var_blobs":
         return _gen_varied(spec)
     if spec.kind == "uniform_square":

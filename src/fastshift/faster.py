@@ -55,7 +55,7 @@ def run_faster(points: VectorSet, N: int, cfg: ShiftConfig,
     raw = positions[converged]
     mode_set = prune_modes(raw, np.ones(raw.shape[0], dtype=np.int64),
                            cfg.bandwidth_h, cfg.min_mode_support)
-    labels = assign_labels(points, mode_set, cfg.chunk_size)
+    labels = assign_labels(points, mode_set)
     return ClusterResult(
         labels=labels,
         mode_set=mode_set,

@@ -18,9 +18,10 @@ results are bit-identical for any ``chunk_size`` and for any thread count,
 and match the numba loop bit for bit.
 
 The window step tests each row only against the points of the cells
-around it, found through an index the points are sorted into once
-(:func:`cell_index`). The grid drops only points the kernel would reject,
-so results are the brute-force bytes.
+around it, found through the :func:`cell_index` that ``core.lockstep``
+sorts the points into once per run. The grid drops only points the kernel
+would reject, so results are the brute-force bytes. :func:`row_blocks`
+bounds every matrix-shaped buffer, here and in the bandwidth estimate.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ except ImportError:  # pragma: no cover - exercised only where numba is absent
 _VALID_BACKENDS = ("numba", "numpy")
 
 # floats in one matrix-shaped numpy buffer (512 KB), small enough to stay in
-# cache; callers that block over rows size their blocks from it
+# cache; :func:`row_blocks` sizes every row block from it
 BLOCK_FLOATS = 65_536
 
 
@@ -96,6 +97,13 @@ def set_threads(count: int) -> int:
 def as_matrix(arr) -> np.ndarray:
     """Coerce to a C-contiguous float64 matrix without copying when possible."""
     return np.ascontiguousarray(arr, dtype=np.float64)
+
+
+def row_blocks(n_rows, cols):
+    """Row slices over ``range(n_rows)``: a block's rows by ``cols`` float
+    buffer holds at most ``BLOCK_FLOATS`` entries, or one row."""
+    step = max(1, BLOCK_FLOATS // max(1, cols))
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
 def sq_dist_block(a, b, out=None, diff=None):
@@ -156,19 +164,18 @@ if HAS_NUMBA:
         return out, counts
 
 
-def _scratch(pool, key, shape):
-    """A ``shape`` view of the buffer ``pool[key]``, grown when too small.
+def _scratch(pool, key, size):
+    """The first ``size`` floats of ``pool[key]``, grown when too small.
 
     One pool serves one ``batch_step`` call, so all its blocks reuse the
     same memory: the time per pair then does not depend on how the
     allocator recycles freed blocks, which page-faults when it trims and
-    regrows the heap.
+    regrows the heap. Growing frees the old buffer before it allocates.
     """
-    size = int(np.prod(shape))
-    buf = pool.get(key)
-    if buf is None or buf.size < size:
-        buf = pool[key] = np.empty(size)
-    return buf[:size].reshape(shape)
+    if key not in pool or pool[key].size < size:
+        pool[key] = None
+        pool[key] = np.empty(size)
+    return pool[key][:size]
 
 
 def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
@@ -179,22 +186,23 @@ def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
     for lo in range(0, n, chunk_size):
         blk = points[lo:lo + chunk_size]
         c = blk.shape[0]
-        d2 = sq_dist_block(rows, blk, out=_scratch(pool, "d2", (m, c)),
-                           diff=_scratch(pool, "diff", (m, c)))
+        # diff is dead once d2 is summed, so the scan reuses its buffer
+        scan = _scratch(pool, "scan", m * (c + 1))
+        d2 = _scratch(pool, "d2", m * c).reshape(m, c)
+        sq_dist_block(rows, blk, out=d2, diff=scan[:m * c].reshape(m, c))
         # the 0/1 window weights overwrite the distances they come from
         w = np.less_equal(d2, h2, out=d2)
         counts += np.count_nonzero(w, axis=1)
         # carry the running sum through a sequential scan so the fold order
         # over points is independent of where chunk boundaries fall
-        buf = _scratch(pool, "scan", (m, c + 1))
+        buf = scan.reshape(m, c + 1)
         for k in range(d):
             buf[:, 0] = acc[:, k]
             np.multiply(w, blk[:, k][None, :], out=buf[:, 1:])
             np.add.accumulate(buf, axis=1, out=buf)
             acc[:, k] = buf[:, -1]
     denom = np.maximum(counts, 1).astype(np.float64)
-    out = np.where(counts[:, None] > 0, acc / denom[:, None], rows)
-    return out, counts
+    return np.where(counts[:, None] > 0, acc / denom[:, None], rows), counts
 
 
 def _within_reach(x, h):
@@ -246,7 +254,8 @@ def cell_index(points, h):
 def _blocks(rows, points, h, index):
     """Yield ``(members, candidates)``: the indices of the rows in one grid
     cell and the points of its 3 by 3 neighbour cells, in ascending index
-    order; or one block of every row and point when there is no exact grid.
+    order; or one block of every row and point when there is no index or
+    the rows lie beyond its exact reach.
     """
     if index is None or not _within_reach(rows, h):
         yield np.arange(rows.shape[0]), points
@@ -273,26 +282,21 @@ def batch_step(rows, points, h, chunk_size, index=None):
     """Move each row to the mean of all points within distance ``h`` of it.
 
     Rows with an empty window stay put. Returns ``(new_rows, window_counts)``.
-    ``index`` is ``cell_index(points, h)``, built here when not given. Each
-    block of :func:`_blocks` runs the active backend's kernel, and the bytes
-    are those of testing every (row, point) pair. Callers count rows times
-    points distance evaluations per call, whatever the grid saves.
+    ``index`` is the ``cell_index(points, h)`` its caller builds once per
+    run, as ``core.lockstep`` does; without it each row tests every point.
+    The bytes are those of testing every (row, point) pair. Callers count
+    rows times points distance evaluations per call, whatever the grid saves.
     """
     rows = as_matrix(rows)
     points = as_matrix(points)
-    if index is None:
-        index = cell_index(points, h)
     h2 = h * h
     pool = {}
     out = np.empty_like(rows)
     counts = np.empty(rows.shape[0], np.int64)
     for members, cand in _blocks(rows, points, h, index):
-        # row-block so the rows-by-chunk buffers stay within BLOCK_FLOATS
-        # even when a caller batches every input point as a row; rows are
-        # independent, so blocking cannot change any value
-        step = max(1, BLOCK_FLOATS // max(1, min(chunk_size, cand.shape[0])))
-        for lo in range(0, members.size, step):
-            sub = members[lo:lo + step]
+        # rows are independent, so row blocks cannot change any value
+        for block in row_blocks(members.size, min(chunk_size, cand.shape[0])):
+            sub = members[block]
             if _backend == "numba":
                 out[sub], counts[sub] = _batch_step_numba(rows[sub], cand, h2)
             else:
@@ -306,14 +310,13 @@ def batch_step(rows, points, h, chunk_size, index=None):
 # ---------------------------------------------------------------------------
 
 
-def nearest_labels(points, modes, chunk_size):
+def nearest_labels(points, modes):
     """Index of the closest mode per point; ties go to the lower index."""
     points = as_matrix(points)
     modes = as_matrix(modes)
     labels = np.empty(points.shape[0], np.int64)
-    for lo in range(0, points.shape[0], chunk_size):
-        d2 = sq_dist_block(points[lo:lo + chunk_size], modes)
-        labels[lo:lo + chunk_size] = np.argmin(d2, axis=1)
+    for block in row_blocks(points.shape[0], modes.shape[0]):
+        labels[block] = np.argmin(sq_dist_block(points[block], modes), axis=1)
     return labels
 
 

@@ -2,11 +2,13 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import fastshift
 from fastshift import ConfigError, GenSpec, ShiftConfig, VectorSet, gen_blobs
 from fastshift import kernels, shift_once
 
@@ -25,18 +27,35 @@ def restore_backend():
     kernels.set_backend(before)
 
 
-def run_cli(*args, env_extra=None):
-    """Invoke the installed CLI in a subprocess with a clean backend env.
+def cli_env(**extra):
+    """Environment for a CLI subprocess that imports the package under test.
 
-    An inherited ``FASTSHIFT_BACKEND`` is dropped, so the run resolves the
-    documented default backend unless the test passes one in ``env_extra``.
+    The directory holding the imported ``fastshift`` goes first on the
+    child's ``PYTHONPATH``, so the child runs the same code from a source
+    checkout or an install. An inherited ``FASTSHIFT_BACKEND`` is dropped,
+    so the run resolves the documented default backend unless ``extra``
+    sets one.
     """
     env = os.environ.copy()
     env.pop("FASTSHIFT_BACKEND", None)
-    if env_extra:
-        env.update(env_extra)
+    src = str(Path(fastshift.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
+
+
+def run_cli(*args, env_extra=None):
+    """Invoke the CLI in a subprocess with :func:`cli_env`."""
     return subprocess.run([sys.executable, "-m", "fastshift.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True,
+                          env=cli_env(**(env_extra or {})))
+
+
+def error_lines(stderr):
+    """The ``error:`` lines of a CLI run's stderr; a traceback fails."""
+    assert "Traceback" not in stderr, stderr
+    return [line for line in stderr.splitlines() if line.startswith("error:")]
 
 
 def make_blobs(n=1500, k=10, sigma=0.1, seed=0):

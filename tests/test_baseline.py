@@ -43,6 +43,19 @@ def test_shift_once_matches_scalar_loop():
     assert count == ref_counts[0]
 
 
+def test_shift_once_builds_no_cell_index(monkeypatch):
+    # one step tests every point in O(n); sorting n points per call would
+    # cost more than the step
+    def spy(points, h):
+        raise AssertionError("shift_once built a cell index")
+
+    monkeypatch.setattr(kernels, "cell_index", spy)
+    pts = VectorSet(rng.normal(size=(500, 2)))
+    new, count = shift_once(pts.data[0], pts, h=0.3)
+    ref, ref_counts = scalar_batch_step(pts.data[:1], pts.data, 0.3)
+    assert new.tobytes() == ref[0].tobytes() and count == ref_counts[0]
+
+
 def test_shift_once_dimension_mismatch():
     pts = VectorSet(rng.normal(size=(5, 2)))
     with pytest.raises(ValueError):

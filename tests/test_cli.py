@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import run_cli
+from conftest import cli_env, error_lines, run_cli
 
 from fastshift import kernels
 from fastshift.cli import BENCH_CSV_HEADER
@@ -101,6 +101,17 @@ def test_generate_unwritable_target_exits_1(tmp_path):
                   "--clusters", "2", "--seed", "0", "--out", str(out))
     assert res.returncode == 1
     assert "error:" in res.stderr
+
+
+@pytest.mark.parametrize("flag,value", [("--box", "1e308"), ("--box", "inf"),
+                                        ("--box", "nan"), ("--sigma", "inf"),
+                                        ("--sigma", "nan")])
+def test_generate_non_finite_spec_exits_2(tmp_path, flag, value):
+    out = tmp_path / "g.csv"
+    res = run_cli("generate", "--n", "100", flag, value, "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert len(error_lines(res.stderr)) == 1, res.stderr
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +334,13 @@ def test_failed_write_keeps_previous_output(tmp_path, workspace, command):
         # writes past 64 bytes fail with EFBIG, as they would on a full disk
         resource.setrlimit(resource.RLIMIT_FSIZE, (64, 64))
 
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     res = subprocess.run(
         [sys.executable, "-m", "fastshift.cli", *args, "--out", str(out)],
-        capture_output=True, text=True, env=env, preexec_fn=small_files)
+        capture_output=True, text=True,
+        env=cli_env(PYTHONDONTWRITEBYTECODE="1"), preexec_fn=small_files)
     assert res.returncode == 1, res.stderr
+    # a child that cannot import fastshift also exits 1 and writes nothing
+    assert len(error_lines(res.stderr)) == 1, res.stderr
     for path in earlier:
         assert path.read_text() == "previous\n"
     assert (sorted(p.name for p in tmp_path.iterdir())

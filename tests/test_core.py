@@ -347,6 +347,24 @@ def test_assign_scale_consistent():
     assert np.array_equal(base, scaled)
 
 
+def test_assign_labels_bounded_with_many_modes():
+    # the mode count sets the label row blocks, so 2,000 modes never build
+    # the 32 MB full distance matrix
+    data = rng.uniform(-2, 2, size=(2000, 2))
+    modes = rng.uniform(-2, 2, size=(2000, 2))
+    want = np.argmin(((data[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2),
+                     axis=1)
+    pts, ms = VectorSet(data), ModeSet(modes, np.ones(2000, dtype=int))
+    tracemalloc.start()
+    try:
+        labels = assign_labels(pts, ms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(labels, want)
+    assert peak < 4 * 2 ** 20
+
+
 def test_modeset_length_mismatch():
     with pytest.raises(ValueError):
         ModeSet(np.zeros((2, 2)), np.array([1]))

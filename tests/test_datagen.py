@@ -136,3 +136,13 @@ def test_spec_validation():
         GenSpec(kind="blobs", n_points=10, n_clusters=2, noise_sigma=-0.1)
     with pytest.raises(ValueError):
         GenSpec(kind="blobs", n_points=10, n_clusters=2, box_extent=0.0)
+    # non-finite values, and a box whose span 2 * box_extent overflows
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            GenSpec(kind="blobs", n_points=10, n_clusters=2, noise_sigma=bad)
+    for bad in (np.inf, np.nan, 1e308):
+        with pytest.raises(ValueError):
+            GenSpec(kind="blobs", n_points=10, n_clusters=2, box_extent=bad)
+    pts, _, _ = generate(GenSpec(kind="uniform_square", n_points=10,
+                                 box_extent=8e307))
+    assert np.isfinite(pts.data).all()

@@ -1,6 +1,8 @@
 """Backend contract: numba and numpy kernels agree bit for bit, and the
 fold order makes results independent of chunking and threading."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,19 +26,26 @@ def backend(request, restore_backend):
     return request.param
 
 
+# no index tests every pair; the built one is what core.lockstep passes
+INDEXES = (None, kernels.cell_index(POINTS, H))
+
+
 def test_batch_step_matches_scalar_loop_bitwise(backend):
-    out, counts = kernels.batch_step(ROWS, POINTS, H, 64)
     ref_out, ref_counts = scalar_batch_step(ROWS, POINTS, H)
-    assert out.tobytes() == ref_out.tobytes()
-    assert np.array_equal(counts, ref_counts)
+    for index in INDEXES:
+        out, counts = kernels.batch_step(ROWS, POINTS, H, 64, index)
+        assert out.tobytes() == ref_out.tobytes()
+        assert np.array_equal(counts, ref_counts)
 
 
 def test_batch_step_chunk_size_invariant_bitwise(backend):
-    base, counts = kernels.batch_step(ROWS, POINTS, H, POINTS.shape[0])
-    for chunk in (1, 7, 64, 4096):
-        out, c = kernels.batch_step(ROWS, POINTS, H, chunk)
-        assert out.tobytes() == base.tobytes(), f"chunk={chunk}"
-        assert np.array_equal(c, counts)
+    for index in INDEXES:
+        base, counts = kernels.batch_step(ROWS, POINTS, H, POINTS.shape[0],
+                                          index)
+        for chunk in (1, 7, 64, 4096):
+            out, c = kernels.batch_step(ROWS, POINTS, H, chunk, index)
+            assert out.tobytes() == base.tobytes(), f"chunk={chunk}"
+            assert np.array_equal(c, counts)
 
 
 def test_batch_step_backends_agree_bitwise(restore_backend):
@@ -65,7 +74,8 @@ def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
         return numpy_block(rows, points, h2, chunk_size, pool)
 
     monkeypatch.setattr(kernels, "_batch_step_numpy_block", spy)
-    blocked, cb = kernels.batch_step(big_rows, pts, 1.2, 3000)
+    index = kernels.cell_index(pts, 1.2)
+    blocked, cb = kernels.batch_step(big_rows, pts, 1.2, 3000, index)
     # every call fits the budget, some take a whole row block, and together
     # they cover every row once
     assert all(r <= budget for r, budget in calls)
@@ -75,7 +85,7 @@ def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
     assert blocked[:13].tobytes() == ref.tobytes()
     if kernels.HAS_NUMBA:
         kernels.set_backend("numba")
-        nb, cn = kernels.batch_step(big_rows, pts, 1.2, 3000)
+        nb, cn = kernels.batch_step(big_rows, pts, 1.2, 3000, index)
         assert blocked.tobytes() == nb.tobytes()
         assert np.array_equal(cb, cn)
 
@@ -83,11 +93,12 @@ def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
 def test_batch_step_empty_window_keeps_row(backend):
     # 1e6 is inside the grid's coordinate limit (2**28 * H), so the row gets
     # an empty candidate set; 1e9 is beyond it and every point is tested
-    assert kernels.cell_index(POINTS, H) is not None
+    index = kernels.cell_index(POINTS, H)
+    assert index is not None
     for coord, gridded in ((1e6, True), (1e9, False)):
         far = np.full((1, 3), coord)
         assert (coord <= 2.0 ** 28 * H) is gridded
-        out, counts = kernels.batch_step(far, POINTS, H, 64)
+        out, counts = kernels.batch_step(far, POINTS, H, 64, index)
         assert counts[0] == 0
         assert out.tobytes() == far.tobytes()
 
@@ -114,7 +125,7 @@ def test_batch_step_grid_matches_scalar_on_cell_boundaries(data):
     index = kernels.cell_index(pts, h)
     assert index is not None
     ref, ref_counts = scalar_batch_step(rows, pts, h)
-    # built inside the call, and prebuilt once as core.lockstep does
+    # brute force, and over the index core.lockstep builds once per run
     for given in (None, index):
         out, counts = kernels.batch_step(rows, pts, h, chunk, given)
         assert out.tobytes() == ref.tobytes()
@@ -132,9 +143,10 @@ def test_batch_step_grid_coordinate_limit_bitwise(backend):
         pts = np.concatenate([near_edge, -near_edge[::5]])
         rows = np.concatenate([near_edge[::3] - [h, 0.0],
                                near_edge[1::4] + [0.0, h], -near_edge[:2]])
-        assert (kernels.cell_index(pts, h) is not None) is gridded
+        index = kernels.cell_index(pts, h)
+        assert (index is not None) is gridded
         assert bool(np.abs(rows).max() <= reach) is gridded
-        out, counts = kernels.batch_step(rows, pts, h, 16)
+        out, counts = kernels.batch_step(rows, pts, h, 16, index)
         ref, ref_counts = scalar_batch_step(rows, pts, h)
         assert out.tobytes() == ref.tobytes(), f"edge={edge!r}"
         assert np.array_equal(counts, ref_counts)
@@ -167,7 +179,8 @@ def test_batch_step_grid_prunes_candidates(restore_backend, monkeypatch):
         return numpy_block(r, p, *rest)
 
     monkeypatch.setattr(kernels, "_batch_step_numpy_block", spy)
-    out, counts = kernels.batch_step(rows, points.data, 0.3, 4096)
+    out, counts = kernels.batch_step(rows, points.data, 0.3, 4096,
+                                     kernels.cell_index(points.data, 0.3))
     assert sum(pairs) < rows.shape[0] * points.n / 4
     ref, ref_counts = scalar_batch_step(rows, points.data, 0.3)
     assert out.tobytes() == ref.tobytes()
@@ -181,6 +194,7 @@ def test_batch_step_numba_kernel_gets_grid_blocks(restore_backend,
     # blocks, which together hold every row once
     points, _, _ = make_blobs(n=3000, k=10, sigma=0.1, seed=3)
     rows = points.data[::50]
+    index = kernels.cell_index(points.data, 0.3)
 
     def blocks_of(backend, name, step):
         seen = []
@@ -191,7 +205,7 @@ def test_batch_step_numba_kernel_gets_grid_blocks(restore_backend,
 
         monkeypatch.setattr(kernels, "_backend", backend)
         monkeypatch.setattr(kernels, name, kernel, raising=False)
-        out, _ = kernels.batch_step(rows, points.data, 0.3, 4096)
+        out, _ = kernels.batch_step(rows, points.data, 0.3, 4096, index)
         return seen, out
 
     numpy_seen, numpy_out = blocks_of(
@@ -202,10 +216,37 @@ def test_batch_step_numba_kernel_gets_grid_blocks(restore_backend,
     assert numba_seen == numpy_seen
     assert len(numba_seen) > 1 and all(h2 == 0.3 * 0.3
                                        for _, _, h2 in numba_seen)
+    # grid blocks: no block's candidates are all the points
+    assert all(len(p) < points.data.nbytes for _, p, _ in numba_seen)
     member_rows = np.concatenate([np.frombuffer(r).reshape(-1, 2)
                                   for r, _, _ in numba_seen])
     assert sorted(map(bytes, member_rows)) == sorted(map(bytes, rows))
     assert numba_out.tobytes() == numpy_out.tobytes()
+
+
+def test_row_blocks_bound_every_buffer():
+    for n_rows, cols in ((0, 5), (1, 1), (1000, 300), (7, 10 ** 6)):
+        spans = [range(n_rows)[b] for b in kernels.row_blocks(n_rows, cols)]
+        assert [i for span in spans for i in span] == list(range(n_rows))
+        # at most BLOCK_FLOATS entries per buffer, or a single row
+        assert all(len(span) * cols <= kernels.BLOCK_FLOATS or len(span) == 1
+                   for span in spans)
+    # blocks are as large as the bound allows: 218 rows of 300
+    assert len(list(kernels.row_blocks(1000, 300))) == 5
+
+
+def test_scratch_growth_never_holds_two_buffers():
+    pool = {}
+    tracemalloc.start()
+    try:
+        for size in (1_000, 30_000, 60_000):
+            buf = kernels._scratch(pool, "d2", size)
+            assert buf.size == size
+            del buf
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60_000 * 8 + 1024
 
 
 def test_thread_count_does_not_change_bits(restore_backend):
@@ -226,16 +267,19 @@ def test_set_threads_validation():
 
 
 def test_nearest_labels_matches_argmin(backend):
-    modes = rng.normal(size=(6, 3))
-    labels = kernels.nearest_labels(POINTS, modes, 32)
-    d2 = ((POINTS[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
-    assert np.array_equal(labels, np.argmin(d2, axis=1))
+    # 600 modes make the labels run in several row blocks
+    for m, blocks in ((6, 1), (600, 3)):
+        modes = rng.normal(size=(m, 3))
+        assert len(list(kernels.row_blocks(POINTS.shape[0], m))) == blocks
+        labels = kernels.nearest_labels(POINTS, modes)
+        d2 = ((POINTS[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(labels, np.argmin(d2, axis=1))
 
 
 def test_nearest_labels_tie_goes_to_lower_index(backend):
     modes = np.array([[1.0, 0.0], [-1.0, 0.0]])
     pts = np.array([[0.0, 0.0], [0.0, 5.0]])
-    labels = kernels.nearest_labels(pts, modes, 16)
+    labels = kernels.nearest_labels(pts, modes)
     assert labels.tolist() == [0, 0]
 
 
