@@ -2,21 +2,24 @@
 
 The seed count N for the seeded engine is steered by the observed mode
 count M: too few seeds (N < L*M) risks missing a cluster, so N doubles and
-the run repeats immediately; comfortably many (N > H*M) wastes work, so N
-shrinks by M for the next dataset in a sequence. Between the bounds the
-result is accepted as-is. The coverage-probability formula quantifies the
-risk the lower bound guards against.
+the run continues at once, keeping its walkers and adding seeds;
+comfortably many (N > H*M) wastes work, so N shrinks by M for the next
+dataset in a sequence. Between the bounds the result is accepted as-is.
+The coverage-probability formula quantifies the risk the lower bound
+guards against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 import math
+import time
 
 import numpy as np
 
-from .core import ClusterResult, ShiftConfig, VectorSet
-from .faster import run_faster
+from . import kernels
+from .core import ClusterResult, ShiftConfig, VectorSet, assign_labels
+from .faster import Walkers, run_faster
 
 
 @dataclass
@@ -25,7 +28,10 @@ class ControllerState:
 
     ``history`` records every attempt as ``(N, M, accepted)``; its length
     numbers the seed-derivation stream of the next attempt, so every
-    attempt (and every frame) samples fresh seeds deterministically.
+    attempt (and every frame) draws its new seeds deterministically from a
+    stream of its own. Within one ``run_adaptive`` call a retry keeps the
+    previous attempt's walkers and only adds seeds; a new call (the next
+    frame) starts from fresh seeds.
     ``exhausted`` flags an accept forced by N reaching n while still under
     the L*M bound.
     """
@@ -88,8 +94,8 @@ def next_seed_count(state: ControllerState, M_observed: int,
 
 
 def _attempt_seed(cfg: ShiftConfig, stream: int) -> int:
-    # one child stream per attempt: deterministic, and retries never reuse
-    # the seed sample that just came up short
+    # one child stream per attempt: deterministic, and a retry draws the
+    # seeds it adds to the kept ones from a stream no attempt has used
     return int(np.random.SeedSequence([cfg.rng_seed, stream])
                .generate_state(1, np.uint64)[0])
 
@@ -103,31 +109,42 @@ def run_adaptive(points: VectorSet, cfg: ShiftConfig,
     back in to process the next dataset of a sequence: a decayed N carries
     over, shrinking toward the H*M band frame by frame.
 
-    The returned result's ``wall_time_s`` and ``distance_evals`` cover
-    every attempt, retried ones included; the other telemetry fields
-    describe the accepted run.
+    A retry continues the previous attempt instead of redoing it: it keeps
+    that attempt's walkers, converged or not, adds seeds up to the new N
+    from points not used yet, and stops once a gamma fraction of all N have
+    converged. Every attempt is one ``run_faster`` call over one cell index
+    built here; only the accepted attempt is labelled.
+
+    The returned result's ``wall_time_s`` covers the whole call and its
+    ``distance_evals`` every attempt; ``iterations_run`` counts the
+    accepted attempt's own sweeps, and the other telemetry fields describe
+    the accepted attempt too.
     """
+    t0 = time.perf_counter()
     if state is None:
         state = ControllerState(N=cfg.n_initial)
     state.N = max(1, min(state.N, points.n))
 
+    walkers = Walkers(kernels.cell_index(points.data, cfg.bandwidth_h))
     evals_total = 0
-    wall_total = 0.0
     while True:
         result = run_faster(points, state.N, cfg,
-                            rng_seed=_attempt_seed(cfg, len(state.history)))
+                            rng_seed=_attempt_seed(cfg, len(state.history)),
+                            walkers=walkers)
         evals_total += result.distance_evals
-        wall_total += result.wall_time_s
         M = result.mode_set.m
         action, n_next = next_seed_count(state, M, cfg, points.n)
         state.history.append((state.N, M, action != "retry_now"))
-        if action == "retry_now":
-            state.N = n_next
-            state.retries += 1
-            continue
-        if action == "accept" and state.N >= points.n and \
-                state.N < min_seed_bound(M, cfg.seed_low_L):
-            state.exhausted = True
+        if action != "retry_now":
+            break
         state.N = n_next
-        return (replace(result, distance_evals=evals_total,
-                        wall_time_s=wall_total), state)
+        state.retries += 1
+    if action == "accept" and state.N >= points.n and \
+            state.N < min_seed_bound(M, cfg.seed_low_L):
+        state.exhausted = True
+    state.N = n_next
+    # the walkers and the index are dead now; free them before labelling
+    del walkers
+    labels = assign_labels(points, result.mode_set)
+    return (replace(result, labels=labels, distance_evals=evals_total,
+                    wall_time_s=time.perf_counter() - t0), state)

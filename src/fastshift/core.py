@@ -116,9 +116,13 @@ class ModeSet:
 
 @dataclass(frozen=True)
 class ClusterResult:
-    """Labels, modes and run telemetry for one clustering run."""
+    """Labels, modes and run telemetry for one clustering run.
 
-    labels: np.ndarray
+    ``labels`` is None for an attempt the adaptive controller may still
+    discard; it labels only the attempt it accepts.
+    """
+
+    labels: np.ndarray | None
     mode_set: ModeSet
     iterations_run: int
     seeds_used: int
@@ -127,7 +131,8 @@ class ClusterResult:
     distance_evals: int
 
 
-def lockstep(start, points: VectorSet, cfg: ShiftConfig, stop_fraction: float):
+def lockstep(start, points: VectorSet, cfg: ShiftConfig, stop_fraction: float,
+             converged=None, index=None):
     """Walk every row of ``start`` uphill in lockstep window-mean sweeps.
 
     Each sweep moves every unconverged walker to the mean of the points
@@ -135,20 +140,29 @@ def lockstep(start, points: VectorSet, cfg: ShiftConfig, stop_fraction: float):
     ``conv_tol * bandwidth_h`` is converged and stays put from then on, so
     each walker's iterates are those it would take alone. Sweeps end when
     no walker is moving, at ``cfg.max_iter``, or once converged walkers
-    make up at least ``stop_fraction`` of all of them.
+    make up at least ``stop_fraction`` of all of them; no sweep runs when
+    that already holds at the start.
+
+    ``converged`` flags the rows of ``start`` that have already converged
+    (default: none), so a caller can continue an earlier walk. ``index`` is
+    ``kernels.cell_index(points.data, cfg.bandwidth_h)`` when the caller
+    already has it; otherwise it is built here, once for every sweep.
 
     Returns ``(positions, converged, sweeps, evals)``; ``evals`` is the sum
-    over sweeps of (moving walkers) * n. ``start`` is not modified.
+    over sweeps of (moving walkers) * n. The arguments are not modified.
     """
     positions = np.array(start, dtype=np.float64)
     n_walkers = positions.shape[0]
     thresh2 = (cfg.conv_tol * cfg.bandwidth_h) ** 2
-    converged = np.zeros(n_walkers, dtype=bool)
+    converged = (np.zeros(n_walkers, dtype=bool) if converged is None
+                 else np.array(converged, dtype=bool))
     sweeps = 0
     evals = 0
     # the points never move, so one cell index serves every sweep
-    index = kernels.cell_index(points.data, cfg.bandwidth_h)
-    while sweeps < cfg.max_iter and not converged.all():
+    if index is None:
+        index = kernels.cell_index(points.data, cfg.bandwidth_h)
+    while (sweeps < cfg.max_iter and not converged.all()
+           and int(converged.sum()) / n_walkers < stop_fraction):
         idx = np.flatnonzero(~converged)
         rows = positions[idx]
         moved, _ = kernels.batch_step(rows, points.data, cfg.bandwidth_h,
@@ -157,8 +171,6 @@ def lockstep(start, points: VectorSet, cfg: ShiftConfig, stop_fraction: float):
         sweeps += 1
         converged[idx] = kernels.row_sq_dist(moved, rows) <= thresh2
         positions[idx] = moved
-        if int(converged.sum()) / n_walkers >= stop_fraction:
-            break
     return positions, converged, sweeps, evals
 
 

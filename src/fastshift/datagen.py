@@ -60,8 +60,11 @@ def _place_centers(rng: np.random.Generator, k: int, box_extent: float,
     placed = 0
     for _ in range(_MAX_PLACEMENT_TRIES):
         cand = rng.uniform(-box_extent, box_extent, size=(1, 2))
-        if (np.sqrt(kernels.sq_dist_block(centers[:placed], cand))
-                < min_sep).any():
+        # near the float limit a squared distance overflows to +inf, which
+        # correctly reads as far enough
+        with np.errstate(over="ignore"):
+            d2 = kernels.sq_dist_block(centers[:placed], cand)
+        if (np.sqrt(d2) < min_sep).any():
             continue
         centers[placed] = cand
         placed += 1

@@ -1,5 +1,6 @@
 """Seed-count steering: coverage math, band rules, retry/decay traces."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from fastshift import (
     next_seed_count,
     run_adaptive,
 )
+from fastshift import kernels
 
 from conftest import make_blobs
 
@@ -170,14 +172,47 @@ def test_adaptive_exhaustion_flag():
     assert state.exhausted
 
 
-def test_adaptive_telemetry_accumulates_attempts():
+def test_adaptive_telemetry_accumulates_attempts(monkeypatch):
     pts, _, _ = make_blobs(n=2000, k=20, sigma=0.1, seed=11)
     cfg = ShiftConfig(bandwidth_h=0.3, rng_seed=5)
+    pairs = []
+    orig = kernels.batch_step
+
+    def spy(rows, points, h, chunk_size, index=None):
+        pairs.append(rows.shape[0] * points.shape[0])
+        return orig(rows, points, h, chunk_size, index)
+
+    labelled = []
+    orig_labels = kernels.nearest_labels
+
+    def labels_spy(points, modes):
+        labelled.append(modes.shape[0])
+        return orig_labels(points, modes)
+
+    monkeypatch.setattr(kernels, "batch_step", spy)
+    monkeypatch.setattr(kernels, "nearest_labels", labels_spy)
     res, state = run_adaptive(pts, cfg)
     assert state.retries == 1
-    # two attempts ran; the counter must exceed the accepted run's share
-    per_sweep = state.history[-1][0] * pts.n
-    assert res.distance_evals > res.iterations_run * per_sweep - per_sweep
+    # the counter covers every attempt's sweeps, exactly
+    assert res.distance_evals == sum(pairs)
+    assert len(pairs) > res.iterations_run
+    # only the accepted attempt is labelled
+    assert labelled == [res.mode_set.m]
+
+
+def test_adaptive_without_retry_keeps_its_bytes():
+    # pinned on the controller that redid every retry from scratch: a run
+    # that does not retry must keep its bytes
+    pts, _, _ = make_blobs(n=2000, k=10, sigma=0.1, seed=42)
+    res, state = run_adaptive(pts, ShiftConfig(bandwidth_h=0.3, rng_seed=0))
+    assert state.history == [(128, 10, True)]
+    digest = hashlib.sha256()
+    for arr, dtype in ((res.mode_set.modes, "<f8"),
+                       (res.mode_set.support, "<i8"), (res.labels, "<i8"),
+                       ([res.distance_evals], "<i8")):
+        digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    assert digest.hexdigest() == (
+        "e9f34a6ca8ba7bcbd76713b141c3dd69807c394bdeb5a1a640a8a5c153b1676c")
 
 
 def test_adaptive_deterministic():

@@ -146,3 +146,11 @@ def test_spec_validation():
     pts, _, _ = generate(GenSpec(kind="uniform_square", n_points=10,
                                  box_extent=8e307))
     assert np.isfinite(pts.data).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_blobs_near_float_limit_place_centers_without_warnings():
+    # squared center distances overflow to +inf, which reads as far enough
+    pts, _, centers = generate(GenSpec(kind="blobs", n_points=1000,
+                                       box_extent=8e307))
+    assert np.isfinite(pts.data).all() and centers.shape == (10, 2)

@@ -12,12 +12,14 @@ from fastshift import (
     kde_value,
     lockstep,
     rand_index,
+    run_adaptive,
     run_baseline,
     run_faster,
     sample_seeds,
     shift_once,
 )
 from fastshift import kernels
+from fastshift.faster import Walkers, seed_indices
 
 from conftest import make_blobs
 
@@ -58,12 +60,12 @@ def test_sample_validation():
 
 # ------------------------------------------------------------------ lockstep
 
-def _spy_batch_step(monkeypatch):
+def _spy_batch_step(monkeypatch, record=lambda rows: rows.shape[0]):
     rows_seen = []
     orig = kernels.batch_step
 
     def spy(rows, points, h, chunk_size, index=None):
-        rows_seen.append(rows.shape[0])
+        rows_seen.append(record(rows))
         return orig(rows, points, h, chunk_size, index)
 
     monkeypatch.setattr(kernels, "batch_step", spy)
@@ -140,6 +142,43 @@ def test_batch_skips_already_converged_seeds(monkeypatch):
                                      replace(cfg, max_iter=t + 1), 1.0)
         assert moved_per_sweep[t] == int((~conv_t).sum())
         assert pos_next[conv_t].tobytes() == pos_t[conv_t].tobytes()
+
+
+def test_lockstep_never_steps_preconverged_rows(monkeypatch):
+    pts, _, _ = make_blobs(n=200, k=3, sigma=0.2, seed=4)
+    cfg = ShiftConfig(bandwidth_h=0.5)
+    start = sample_seeds(pts, 10, rng_seed=3)
+    flags = np.zeros(10, dtype=bool)
+    flags[::3] = True
+    rows_seen = _spy_batch_step(monkeypatch, record=lambda rows: rows.copy())
+    alone = lockstep(start[~flags], pts, cfg, 1.0)
+    alone_rows = [r.tobytes() for r in rows_seen]
+    rows_seen.clear()
+    positions, converged, sweeps, evals = lockstep(start, pts, cfg, 1.0,
+                                                   flags)
+    # the kernel sees exactly what a walk of the unflagged rows alone gives
+    # it, so a flagged row is never stepped and keeps its bytes
+    assert [r.tobytes() for r in rows_seen] == alone_rows
+    assert positions[flags].tobytes() == start[flags].tobytes()
+    assert positions[~flags].tobytes() == alone[0].tobytes()
+    assert (sweeps, evals) == alone[2:]
+    assert converged.all() and int(flags.sum()) == 4
+
+
+def test_lockstep_met_stop_fraction_runs_no_sweep(monkeypatch):
+    pts, _, _ = make_blobs(n=200, k=3, sigma=0.2, seed=4)
+    cfg = ShiftConfig(bandwidth_h=0.5)
+    start = sample_seeds(pts, 20, rng_seed=3)
+    rows_seen = _spy_batch_step(monkeypatch)
+    flags = np.arange(20) < 19
+    positions, converged, sweeps, evals = lockstep(start, pts, cfg, 0.95,
+                                                   flags)
+    assert (sweeps, evals) == (0, 0) and rows_seen == []
+    assert positions.tobytes() == start.tobytes()
+    assert converged.tolist() == flags.tolist()
+    # one flag fewer is under the stop fraction: the one walker moves
+    _, _, sweeps, _ = lockstep(start, pts, cfg, 0.95, np.arange(20) < 18)
+    assert sweeps >= 1 and rows_seen[0] == 2
 
 
 def _gamma_case(n_stragglers):
@@ -235,8 +274,10 @@ def test_work_bound_counts_moving_times_n(monkeypatch):
 
 def test_cell_index_built_once_per_run(monkeypatch):
     # the points never move, so each engine run sorts them by cell once and
-    # every sweep's batch_step reuses that index
+    # every sweep's batch_step reuses that index; a controller call hands
+    # its one index to every retry
     pts, _, _ = make_blobs(n=400, k=4, sigma=0.1, seed=5)
+    retrying, _, _ = make_blobs(n=2000, k=20, sigma=0.1, seed=11)
     cfg = ShiftConfig(bandwidth_h=0.3, rng_seed=1)
     steps = _spy_batch_step(monkeypatch)
     built = []
@@ -248,12 +289,56 @@ def test_cell_index_built_once_per_run(monkeypatch):
 
     monkeypatch.setattr(kernels, "cell_index", spy)
     for run in (lambda: run_faster(pts, 50, cfg),
-                lambda: run_baseline(pts, cfg)):
+                lambda: run_baseline(pts, cfg),
+                lambda: run_adaptive(retrying, replace(cfg, rng_seed=5))):
         built.clear()
         steps.clear()
-        run()
+        out = run()
         assert built == [0.3]
         assert len(steps) > 1
+    assert out[1].retries == 1
+
+
+def test_retry_keeps_seeds_and_adds_unused_points():
+    pts, _, _ = make_blobs(n=300, k=3, sigma=0.1, seed=2)
+    cfg = ShiftConfig(bandwidth_h=0.3)
+    walkers = Walkers(kernels.cell_index(pts.data, cfg.bandwidth_h))
+    run_faster(pts, 64, cfg, rng_seed=1, walkers=walkers)
+    # the first attempt draws the sample a standalone run draws
+    first = walkers.seeds.copy()
+    assert pts.data[first].tobytes() == sample_seeds(pts, 64, 1).tobytes()
+    for N in (128, 300):
+        kept = walkers.seeds.copy()
+        run_faster(pts, N, cfg, rng_seed=N, walkers=walkers)
+        assert walkers.seeds.size == N
+        assert np.unique(walkers.seeds).size == N
+        assert walkers.seeds[:kept.size].tobytes() == kept.tobytes()
+    assert np.array_equal(np.sort(walkers.seeds), np.arange(pts.n))
+    with pytest.raises(ValueError):
+        seed_indices(10, 0, rng_seed=0)
+
+
+def test_retry_walkers_end_where_independent_walks_end(monkeypatch):
+    pts, _, _ = make_blobs(n=1000, k=5, sigma=0.1, seed=2)
+    cfg = ShiftConfig(bandwidth_h=0.3, early_stop_gamma=0.8)
+    walkers = Walkers(kernels.cell_index(pts.data, cfg.bandwidth_h))
+    first = run_faster(pts, 32, cfg, rng_seed=1, walkers=walkers)
+    stragglers = ~walkers.converged
+    assert first.labels is None and first.seeds_discarded == 4
+    rows_seen = _spy_batch_step(monkeypatch)
+    res = run_faster(pts, 64, cfg, rng_seed=2, walkers=walkers)
+    assert res.labels is None and res.seeds_used == 64
+    # the retry steps only the 4 stragglers and the 32 added seeds
+    assert rows_seen[0] == 36
+    assert res.distance_evals == sum(rows_seen) * pts.n
+    assert int(walkers.converged.sum()) >= 0.8 * 64
+    # every kept straggler converged in the retry, and every converged
+    # walker ends bit for bit where its own walk from its start ends
+    assert walkers.converged[:32][stragglers].all()
+    alone, _, _, _ = lockstep(pts.data[walkers.seeds], pts, cfg, 1.0)
+    done = walkers.converged
+    assert walkers.positions[done].tobytes() == alone[done].tobytes()
+    assert res.mode_set.support.sum() == int(done.sum())
 
 
 def test_no_converged_seeds_raises():
