@@ -21,6 +21,7 @@ import os
 import secrets
 import stat
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,12 @@ def _fail(msg: str) -> None:
 
 def _load_points(path: str) -> VectorSet:
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        # an empty file is rejected below with one error line, so numpy's
+        # warning about it would only repeat that on stderr
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
     return VectorSet(data)

@@ -75,6 +75,16 @@ class ShiftConfig:
                               f"got {self.bandwidth_h}")
         if not (np.isfinite(self.conv_tol) and self.conv_tol > 0):
             raise ConfigError(f"conv_tol must be positive, got {self.conv_tol}")
+        # lockstep compares squared moves against this square; a Python
+        # float power raises where it overflows, and inf squares to inf
+        try:
+            tol2 = (float(self.conv_tol) * float(self.bandwidth_h)) ** 2
+        except OverflowError:
+            tol2 = np.inf
+        if not np.isfinite(tol2):
+            raise ConfigError(f"conv_tol * bandwidth_h must have a finite "
+                              f"square, got {self.conv_tol} * "
+                              f"{self.bandwidth_h}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (0.0 < self.early_stop_gamma <= 1.0):

@@ -20,8 +20,12 @@ and match the numba loop bit for bit.
 The window step tests each row only against the points of the cells
 around it, found through the :func:`cell_index` that ``core.lockstep``
 sorts the points into once per run. The grid drops only points the kernel
-would reject, so results are the brute-force bytes. :func:`row_blocks`
-bounds every matrix-shaped buffer, here and in the bandwidth estimate.
+would reject, so results are the brute-force bytes. A row's result is a
+function of its bits alone, so each set of bit-identical rows is stepped
+once and the others get a copy; callers still count every row they pass
+(rows times points evaluations), whatever the grid and the deduplication
+save. :func:`row_blocks` bounds every matrix-shaped buffer, here and in
+the bandwidth estimate.
 """
 
 from __future__ import annotations
@@ -252,30 +256,50 @@ def cell_index(points, h):
 
 
 def _blocks(rows, points, h, index):
-    """Yield ``(members, candidates)``: the indices of the rows in one grid
+    """Sort the rows by (grid cell, bits) and group the distinct ones.
+
+    Returns ``((twins, firsts), blocks)``. ``twins`` are the indices of the
+    rows bit for bit equal to another row and ``firsts`` the indices of the
+    rows they equal, which are the ones stepped. ``blocks`` yields
+    ``(members, candidates)``: the indices of the distinct rows in one grid
     cell and the points of its 3 by 3 neighbour cells, in ascending index
-    order; or one block of every row and point when there is no index or
-    the rows lie beyond its exact reach.
+    order; or one block of every distinct row and every point when there
+    is no index or the rows lie beyond its exact reach. Equal bits mean
+    equal cells, so the one sort puts twins next to each other; comparing
+    bits, not values, keeps 0.0 and -0.0 apart.
     """
-    if index is None or not _within_reach(rows, h):
-        yield np.arange(rows.shape[0]), points
-        return
-    lo, side, axes, width, keys, order = index
-    cells, inverse = np.unique(np.stack(_cells(rows, lo, side, axes), axis=1),
-                               axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    groups = np.split(np.argsort(inverse, kind="stable"),
-                      np.cumsum(np.bincount(inverse))[:-1])
+    gridded = index is not None and _within_reach(rows, h)
+    cells = _cells(rows, *index[:3]) if gridded else ()
+    bits = rows.view(np.int64)
+    order = np.lexsort(tuple(bits.T) + cells[::-1])
+    twin = np.zeros(order.size, bool)
+    twin[1:] = (bits[order[1:]] == bits[order[:-1]]).all(axis=1)
+    first = np.maximum.accumulate(np.where(twin, 0, np.arange(order.size)))
+    copies = order[twin], order[first[twin]]
+    distinct = order[~twin]
+    if not gridded:
+        return copies, [(distinct, points)]
+    width, keys, point_order = index[3:]
+    major, minor = (c[distinct] for c in cells)
+    new = np.ones(distinct.size, bool)
+    new[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
+    heads = np.flatnonzero(new)
+    major, minor = major[heads, None], minor[heads, None]
     # three key ranges per group, one per major neighbour cell, each over
     # the minor neighbour cells that exist
-    base = (cells[:, :1] + np.arange(-1, 2)) * width
-    starts = keys.searchsorted(base + np.maximum(cells[:, 1:] - 1, 0), "left")
-    stops = keys.searchsorted(base + np.minimum(cells[:, 1:] + 1, width - 1),
-                              "right")
-    for members, first, last in zip(groups, starts, stops):
-        # gather at once, so only the candidate points outlive this line
-        yield members, points[np.sort(np.concatenate(
-            [order[a:b] for a, b in zip(first, last)]), kind="stable")]
+    base = (major + np.arange(-1, 2)) * width
+    starts = keys.searchsorted(base + np.maximum(minor - 1, 0), "left")
+    stops = keys.searchsorted(base + np.minimum(minor + 1, width - 1), "right")
+
+    def blocks():
+        for members, first, last in zip(np.split(distinct, heads[1:]),
+                                        starts, stops):
+            # gather at once, so only the candidate points outlive this line
+            yield members, points[np.sort(np.concatenate(
+                [point_order[a:b] for a, b in zip(first, last)]),
+                kind="stable")]
+
+    return copies, blocks()
 
 
 def batch_step(rows, points, h, chunk_size, index=None):
@@ -284,8 +308,11 @@ def batch_step(rows, points, h, chunk_size, index=None):
     Rows with an empty window stay put. Returns ``(new_rows, window_counts)``.
     ``index`` is the ``cell_index(points, h)`` its caller builds once per
     run, as ``core.lockstep`` does; without it each row tests every point.
-    The bytes are those of testing every (row, point) pair. Callers count
-    rows times points distance evaluations per call, whatever the grid saves.
+    The bytes are those of testing every (row, point) pair. A row's result
+    depends on its bits alone, so each set of bit-identical rows is stepped
+    once and its result copied to the others. Callers count rows times
+    points distance evaluations per call, whatever the grid and the
+    deduplication save.
     """
     rows = as_matrix(rows)
     points = as_matrix(points)
@@ -293,7 +320,8 @@ def batch_step(rows, points, h, chunk_size, index=None):
     pool = {}
     out = np.empty_like(rows)
     counts = np.empty(rows.shape[0], np.int64)
-    for members, cand in _blocks(rows, points, h, index):
+    (twins, firsts), blocks = _blocks(rows, points, h, index)
+    for members, cand in blocks:
         # rows are independent, so row blocks cannot change any value
         for block in row_blocks(members.size, min(chunk_size, cand.shape[0])):
             sub = members[block]
@@ -302,6 +330,9 @@ def batch_step(rows, points, h, chunk_size, index=None):
             else:
                 out[sub], counts[sub] = _batch_step_numpy_block(
                     rows[sub], cand, h2, chunk_size, pool)
+    # a twin's result is the one its first row got
+    out[twins] = out[firsts]
+    counts[twins] = counts[firsts]
     return out, counts
 
 

@@ -146,6 +146,35 @@ def test_cluster_rejects_zero_bandwidth(workspace):
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("method", ["baseline", "faster", "adaptive"])
+@pytest.mark.parametrize("flags", [("--bandwidth", "1e200"),
+                                   ("--bandwidth", "1", "--tol", "1e300")])
+def test_cluster_overflowing_threshold_exits_2(workspace, tmp_path, method,
+                                               flags):
+    # the squared convergence threshold would overflow
+    out = tmp_path / "r.json"
+    res = run_cli("cluster", "--input", str(workspace["data"]),
+                  "--method", method, *flags, "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert len(error_lines(res.stderr)) == 1, res.stderr
+    assert not out.exists()
+
+
+def test_cluster_empty_input_is_one_error_line(tmp_path):
+    # numpy's two-line warning about the empty file used to come first;
+    # now stderr is what a missing file gives: whatever the accelerator
+    # import prints, then one error line
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    res = run_cli("cluster", "--input", str(empty), "--bandwidth", "0.3")
+    missing = run_cli("cluster", "--input", str(tmp_path / "nope.csv"),
+                      "--bandwidth", "0.3")
+    assert res.returncode == missing.returncode == 2
+    lines = res.stderr.splitlines()
+    assert lines[:-1] == missing.stderr.splitlines()[:-1], res.stderr
+    assert error_lines(res.stderr) == lines[-1:]
+
+
 def test_cluster_missing_input_exits_2(tmp_path):
     res = run_cli("cluster", "--input", str(tmp_path / "nope.csv"),
                   "--bandwidth", "0.3")

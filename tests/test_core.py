@@ -76,10 +76,25 @@ def test_config_defaults():
     {"bandwidth_h": 1.0, "rng_seed": -1},
     {"bandwidth_h": 1.0, "min_mode_support": -1},
     {"bandwidth_h": 1.0, "chunk_size": 0},
+    # the squared convergence threshold overflows
+    {"bandwidth_h": 1e200},
+    {"bandwidth_h": 1.0, "conv_tol": 1e300},
+    {"bandwidth_h": 1e300, "conv_tol": 1e10},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
         ShiftConfig(**kwargs)
+
+
+def test_config_accepts_largest_finite_threshold():
+    # the largest product whose square is finite passes, the next one fails
+    top = np.sqrt(np.finfo(np.float64).max)
+    while top * top == np.inf:
+        top = np.nextafter(top, 0.0)
+    ShiftConfig(bandwidth_h=float(top), conv_tol=1.0)
+    with pytest.raises(ConfigError, match="finite square"):
+        ShiftConfig(bandwidth_h=float(np.nextafter(top, np.inf)),
+                    conv_tol=1.0)
 
 
 # ------------------------------------- reference helpers from conftest.py

@@ -132,6 +132,101 @@ def test_batch_step_grid_matches_scalar_on_cell_boundaries(data):
         assert np.array_equal(counts, ref_counts)
 
 
+@settings(max_examples=200)
+@given(data=st.data())
+def test_batch_step_twin_rows_match_scalar(data):
+    # rows drawn with repeats, some with a zero coordinate flipped to -0.0:
+    # bit-identical rows share one step, and rows equal only as values
+    # (0.0 == -0.0) must each keep their own bits, in a window or not
+    d = data.draw(st.integers(1, 3), label="d")
+    h = data.draw(st.sampled_from([0.3, 1.0, 2.5]), label="h")
+    n = data.draw(st.integers(1, 30), label="n")
+    ints = data.draw(st.lists(st.integers(-4, 4), min_size=n * d,
+                              max_size=n * d), label="cells")
+    pts = np.array(ints, dtype=np.float64).reshape(n, d) * (h / 2)
+    k = data.draw(st.integers(1, 4), label="distinct")
+    pool = np.array(data.draw(st.lists(st.sampled_from([-4, -2, 0, 0, 1, 40]),
+                                       min_size=k * d, max_size=k * d),
+                              label="pool"), dtype=np.float64).reshape(k, d)
+    picks = data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                               max_size=12), label="rows")
+    rows = pool[picks] * (h / 2)
+    flip = np.array(data.draw(st.lists(st.booleans(), min_size=rows.size,
+                                       max_size=rows.size), label="signs"))
+    rows[(rows == 0.0) & flip.reshape(rows.shape)] = -0.0
+    chunk = data.draw(st.sampled_from([1, 3, 64]), label="chunk")
+    ref, ref_counts = scalar_batch_step(rows, pts, h)
+    for index in (None, kernels.cell_index(pts, h)):
+        out, counts = kernels.batch_step(rows, pts, h, chunk, index)
+        assert out.tobytes() == ref.tobytes()
+        assert np.array_equal(counts, ref_counts)
+
+
+def test_batch_step_empty_window_keeps_sign_of_zero(backend):
+    # the rows are equal as values but not as bits; neither window holds a
+    # point, so each row comes back as it went in
+    rows = np.array([[-0.0, 1e6], [0.0, 1e6]])
+    pts = POINTS[:, :2]
+    for index in (None, kernels.cell_index(pts, H)):
+        out, counts = kernels.batch_step(rows, pts, H, 64, index)
+        assert counts.tolist() == [0, 0]
+        assert out.tobytes() == rows.tobytes()
+
+
+def test_batch_step_steps_each_distinct_row_once(restore_backend,
+                                                 monkeypatch):
+    # five copies of every row, in scrambled order, plus a -0.0 variant:
+    # the kernel sees each distinct bit pattern exactly once
+    points, _, _ = make_blobs(n=3000, k=10, sigma=0.1, seed=3)
+    base = np.concatenate([points.data[::60], [[0.0, 0.0], [-0.0, 0.0]]])
+    rows = np.tile(base, (5, 1))[rng.permutation(5 * base.shape[0])]
+    kernels.set_backend("numpy")
+    seen = []
+    numpy_block = kernels._batch_step_numpy_block
+
+    def spy(r, *rest):
+        seen.extend(map(bytes, r))
+        return numpy_block(r, *rest)
+
+    monkeypatch.setattr(kernels, "_batch_step_numpy_block", spy)
+    ref, ref_counts = scalar_batch_step(rows, points.data, 0.3)
+    for index in (None, kernels.cell_index(points.data, 0.3)):
+        seen.clear()
+        out, counts = kernels.batch_step(rows, points.data, 0.3, 4096, index)
+        assert sorted(seen) == sorted(map(bytes, base))
+        assert out.tobytes() == ref.tobytes()
+        assert np.array_equal(counts, ref_counts)
+
+
+def test_batch_step_twins_cost_no_memory(restore_backend):
+    # the rows crowd a few cells, so the kernel's scratch blocks are full
+    # in every case and the peaks differ only by what batch_step keeps per
+    # row: its output row and count, and one index into the row sort
+    kernels.set_backend("numpy")
+    gen = np.random.default_rng(5)
+    pts = gen.normal(0.0, 0.05, size=(2000, 2))
+    index = kernels.cell_index(pts, 0.5)
+    half = gen.normal(0.0, 0.05, size=(2500, 2))
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            kernels.batch_step(rows, pts, 0.5, 4096, index)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_row = half.itemsize * (half.shape[1] + 2)
+    alone = peak(half)
+    # the other half one ulp away: 5,000 distinct rows in the same cells
+    distinct = peak(np.concatenate([half, np.nextafter(half, np.inf)]))
+    twins = peak(np.concatenate([half, half]))
+    assert distinct <= alone + half.shape[0] * per_row + 4096, (distinct,
+                                                                alone)
+    # a twin may cost one more index, for the row it copies
+    assert twins <= distinct + half.shape[0] * 8 + 4096, (twins, distinct)
+
+
 def test_batch_step_grid_coordinate_limit_bitwise(backend):
     h = 0.3
     reach = 2.0 ** 28 * h
