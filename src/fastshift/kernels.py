@@ -12,10 +12,12 @@ that cannot be measured where numba is missing.
 Both inner kernels implement the *same* reduction semantics: per row,
 points are folded in ascending index order into a running sum, counts are
 exact integers, and a single division produces the mean. The numpy kernel
-preserves the fold order across chunk boundaries by carrying the
-accumulator into ``np.add.accumulate`` (a strict sequential scan), so
-results are bit-identical for any ``chunk_size`` and for any thread count,
-and match the numba loop bit for bit.
+folds two coordinates per strict sequential scan (``np.add.accumulate``
+over complex slots, whose addition is two independent double additions)
+and preserves the fold order across chunk boundaries by carrying the
+accumulator into the scan, so results are bit-identical for any
+``chunk_size`` and for any thread count, and match the numba loop bit for
+bit.
 
 The window step tests each row only against the points of the cells
 around it, found through the :func:`cell_index` that ``core.lockstep``
@@ -183,28 +185,48 @@ def _scratch(pool, key, size):
 
 
 def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
+    """Window step of ``rows`` over ``points`` in chunks of ``chunk_size``.
+
+    One sequential scan folds two coordinates: a complex slot holds
+    coordinate 2p in its real part and 2p + 1 in its imaginary part, zero
+    for an odd d's last slot. Complex addition is two independent double
+    additions, so each part is the ascending-index fold of the numba loop.
+    Every point is added with a 0/1 weight, so an out-of-window point adds
+    +-0.0. That changes no bits: a sum is -0.0 only when both terms are,
+    so the running sum, which starts at +0.0, is never -0.0, and adding a
+    zero of either sign leaves it as it is. Counts are sums of 0/1 floats,
+    hence exact.
+    """
     m, d = rows.shape
     n = points.shape[0]
-    acc = np.zeros((m, d))
+    acc = np.zeros((m, (d + 1) // 2), np.complex128)
     counts = np.zeros(m, np.int64)
     for lo in range(0, n, chunk_size):
         blk = points[lo:lo + chunk_size]
         c = blk.shape[0]
-        # diff is dead once d2 is summed, so the scan reuses its buffer
-        scan = _scratch(pool, "scan", m * (c + 1))
-        d2 = _scratch(pool, "d2", m * c).reshape(m, c)
-        sq_dist_block(rows, blk, out=d2, diff=scan[:m * c].reshape(m, c))
+        # one buffer holds a complex scan slot and a weight per pair; the
+        # difference is dead once the distances are summed, so it reuses
+        # the scan's floats
+        step = _scratch(pool, "step", m * (3 * c + 2))
+        split = 2 * m * (c + 1)
+        buf = step[:split].view(np.complex128).reshape(m, c + 1)
+        w = step[split:].reshape(m, c)
+        sq_dist_block(rows, blk, out=w, diff=step[:m * c].reshape(m, c))
         # the 0/1 window weights overwrite the distances they come from
-        w = np.less_equal(d2, h2, out=d2)
-        counts += np.count_nonzero(w, axis=1)
+        np.less_equal(w, h2, out=w)
+        counts += w.sum(axis=1).astype(np.int64)
         # carry the running sum through a sequential scan so the fold order
         # over points is independent of where chunk boundaries fall
-        buf = scan.reshape(m, c + 1)
-        for k in range(d):
-            buf[:, 0] = acc[:, k]
-            np.multiply(w, blk[:, k][None, :], out=buf[:, 1:])
+        for p in range(acc.shape[1]):
+            buf[:, 0] = acc[:, p]
+            np.multiply(w, blk[:, 2 * p], out=buf.real[:, 1:])
+            if 2 * p + 1 < d:
+                np.multiply(w, blk[:, 2 * p + 1], out=buf.imag[:, 1:])
+            else:
+                buf.imag[:, 1:] = 0.0
             np.add.accumulate(buf, axis=1, out=buf)
-            acc[:, k] = buf[:, -1]
+            acc[:, p] = buf[:, -1]
+    acc = acc.view(np.float64)[:, :d]
     denom = np.maximum(counts, 1).astype(np.float64)
     return np.where(counts[:, None] > 0, acc / denom[:, None], rows), counts
 
@@ -295,9 +317,9 @@ def _blocks(rows, points, h, index):
         for members, first, last in zip(np.split(distinct, heads[1:]),
                                         starts, stops):
             # gather at once, so only the candidate points outlive this line
-            yield members, points[np.sort(np.concatenate(
+            yield members, np.take(points, np.sort(np.concatenate(
                 [point_order[a:b] for a, b in zip(first, last)]),
-                kind="stable")]
+                kind="stable"), axis=0)
 
     return copies, blocks()
 
@@ -322,8 +344,11 @@ def batch_step(rows, points, h, chunk_size, index=None):
     counts = np.empty(rows.shape[0], np.int64)
     (twins, firsts), blocks = _blocks(rows, points, h, index)
     for members, cand in blocks:
-        # rows are independent, so row blocks cannot change any value
-        for block in row_blocks(members.size, min(chunk_size, cand.shape[0])):
+        # rows are independent, so row blocks cannot change any value; the
+        # numpy kernel keeps three floats per pair, a weight and a complex
+        # scan slot, so a block's buffers hold 2 * BLOCK_FLOATS floats
+        cols = min(chunk_size, cand.shape[0])
+        for block in row_blocks(members.size, -(-3 * cols // 2)):
             sub = members[block]
             if _backend == "numba":
                 out[sub], counts[sub] = _batch_step_numba(rows[sub], cand, h2)

@@ -61,7 +61,9 @@ def test_batch_step_backends_agree_bitwise(restore_backend):
 
 def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
     # enough rows per grid cell that some cell's group exceeds the numpy
-    # row-block budget (BLOCK_FLOATS // min(chunk, candidates) rows)
+    # row-block budget: the kernel keeps three floats per pair (a weight and
+    # a complex scan slot) in 2 * BLOCK_FLOATS floats, so a block holds
+    # BLOCK_FLOATS // ceil(3 * min(chunk, candidates) / 2) rows
     big_rows = rng.normal(size=(1500, 2))
     pts = rng.normal(size=(3000, 2))
     kernels.set_backend("numpy")
@@ -69,7 +71,8 @@ def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
     numpy_block = kernels._batch_step_numpy_block
 
     def spy(rows, points, h2, chunk_size, pool):
-        budget = kernels.BLOCK_FLOATS // min(chunk_size, points.shape[0])
+        cols = min(chunk_size, points.shape[0])
+        budget = kernels.BLOCK_FLOATS // -(-3 * cols // 2)
         calls.append((rows.shape[0], budget))
         return numpy_block(rows, points, h2, chunk_size, pool)
 
@@ -126,6 +129,47 @@ def test_batch_step_grid_matches_scalar_on_cell_boundaries(data):
     assert index is not None
     ref, ref_counts = scalar_batch_step(rows, pts, h)
     # brute force, and over the index core.lockstep builds once per run
+    for given in (None, index):
+        out, counts = kernels.batch_step(rows, pts, h, chunk, given)
+        assert out.tobytes() == ref.tobytes()
+        assert np.array_equal(counts, ref_counts)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_batch_step_d_dimensional_matches_scalar(data):
+    # the numpy kernel folds two coordinates per complex scan slot: odd d
+    # pads the last slot, d >= 3 folds several slots, and chunks 1 and 3
+    # carry every slot's running sum across chunk boundaries. Points come
+    # from a few distinct ones, so windows hold several; integer multiples
+    # of h sit on cell corners, rows +-h off a point on one axis put window
+    # edges on them, and a -0.0 coordinate must leave no trace in a sum
+    d = data.draw(st.sampled_from([1, 2, 3, 4, 5, 8]), label="d")
+    h = data.draw(st.sampled_from([0.3, 1.0, 2.5]), label="h")
+    coord = st.one_of(st.integers(-2, 2).map(lambda i: i * h),
+                      st.floats(-h, h, allow_subnormal=False))
+    k = data.draw(st.integers(1, 6), label="distinct")
+    pool = np.array(data.draw(st.lists(coord, min_size=k * d,
+                                       max_size=k * d), label="pool"),
+                    dtype=np.float64).reshape(k, d)
+    picks = data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                               max_size=40), label="points")
+    pts = pool[picks]
+    flip = np.array(data.draw(st.lists(st.booleans(), min_size=pts.size,
+                                       max_size=pts.size), label="signs"))
+    pts[(pts == 0.0) & flip.reshape(pts.shape)] = -0.0
+    m = data.draw(st.integers(1, 8), label="m")
+    rows = pts[data.draw(st.lists(st.integers(0, len(picks) - 1),
+                                  min_size=m, max_size=m), label="rows")]
+    axes = data.draw(st.lists(st.integers(0, d - 1), min_size=m,
+                              max_size=m), label="axes")
+    offs = data.draw(st.lists(st.sampled_from([-h, 0.0, h]), min_size=m,
+                              max_size=m), label="offsets")
+    rows[np.arange(m), axes] += offs
+    chunk = data.draw(st.sampled_from([1, 3, 64]), label="chunk")
+    index = kernels.cell_index(pts, h)
+    assert index is not None
+    ref, ref_counts = scalar_batch_step(rows, pts, h)
     for given in (None, index):
         out, counts = kernels.batch_step(rows, pts, h, chunk, given)
         assert out.tobytes() == ref.tobytes()
@@ -225,6 +269,29 @@ def test_batch_step_twins_cost_no_memory(restore_backend):
                                                                 alone)
     # a twin may cost one more index, for the row it copies
     assert twins <= distinct + half.shape[0] * 8 + 4096, (twins, distinct)
+
+
+def test_batch_step_scratch_stays_two_blocks(restore_backend):
+    # all rows and points share one grid cell, so one group of 2,000 rows
+    # over 3,000 candidates fills whole row blocks. The kernel's scratch is
+    # 2 * BLOCK_FLOATS floats; the rest grows with the rows (output, count,
+    # sort indices) and the candidates (their indices and gathered copy):
+    # here 18 B per row and candidate, and 38 B under the fold that ran one
+    # real scan per coordinate with two floats per pair
+    kernels.set_backend("numpy")
+    gen = np.random.default_rng(9)
+    pts = gen.uniform(0.0, 0.9, size=(3000, 2))
+    pts[0] = 0.0
+    rows = gen.uniform(0.0, 0.9, size=(2000, 2))
+    index = kernels.cell_index(pts, 1.0)
+    assert index[4][0] == index[4][-1] == 0
+    tracemalloc.start()
+    try:
+        kernels.batch_step(rows, pts, 1.0, 4096, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * kernels.BLOCK_FLOATS * 8 + 64 * (2000 + 3000), peak
 
 
 def test_batch_step_grid_coordinate_limit_bitwise(backend):
