@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 output I/O failure, 2 usage or configuration
 error (bad flags, unreadable/unparseable input, degenerate bandwidth),
 3 algorithmic or resource failure (no converged seeds, no surviving
-modes, out of memory).
+modes, out of memory) or internal error.
 
 All randomness flows from ``--seed``; identical invocations write
 identical bytes. ``--no-timing`` zeroes the one non-repeatable field
@@ -40,10 +40,9 @@ from .core import (
 )
 from .datagen import KINDS, GenSpec, generate
 from .faster import run_faster
-from .metrics import BENCH_METHODS, bench_run, rand_index
+from .metrics import BENCH_METHODS, BenchRecord, bench_run, rand_index
 
-BENCH_CSV_HEADER = ("method,n_points,wall_time_s,distance_evals,"
-                    "peak_batch_bytes,modes_found,rand_index_vs_baseline,status")
+BENCH_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(BenchRecord))
 
 _FLOAT_FMT = "%.17g"
 
@@ -66,19 +65,8 @@ def _load_points(path: str) -> VectorSet:
 
 
 def _apply_threads(args) -> None:
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        env = os.environ.get("FASTSHIFT_THREADS", "").strip()
-        if not env:
-            return
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"FASTSHIFT_THREADS must be an integer, "
-                              f"got {env!r}") from exc
-    if threads < 1:
-        raise ConfigError(f"thread count must be >= 1, got {threads}")
-    kernels.set_threads(threads)
+    if args.threads is not None:
+        kernels.set_threads(args.threads)
 
 
 def _resolve_bandwidth(args, points: VectorSet) -> float:
@@ -159,16 +147,8 @@ def cmd_generate(args) -> int:
     csv = io.StringIO()
     np.savetxt(csv, points.data, fmt=_FLOAT_FMT, delimiter=",")
     _write_text(args.out, csv.getvalue())
-    truth = {
-        "kind": spec.kind,
-        "n_points": spec.n_points,
-        "n_clusters": spec.n_clusters,
-        "noise_sigma": spec.noise_sigma,
-        "rng_seed": spec.rng_seed,
-        "box_extent": spec.box_extent,
-        "labels": labels.tolist(),
-        "centers": None if centers is None else centers.tolist(),
-    }
+    truth = {**dataclasses.asdict(spec), "labels": labels.tolist(),
+             "centers": None if centers is None else centers.tolist()}
     _write_text(str(Path(args.out).with_suffix(".truth.json")),
                 json.dumps(truth, sort_keys=True, separators=(",", ":")) + "\n")
     return 0
@@ -256,17 +236,7 @@ def cmd_bench(args) -> int:
     records = bench_run(series, methods, cfg, repeats=args.repeats)
 
     lines = [BENCH_CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            r.method,
-            str(r.n_points),
-            _csv_cell(r.wall_time_s),
-            str(r.distance_evals),
-            str(r.peak_batch_bytes),
-            str(r.modes_found),
-            _csv_cell(r.rand_index_vs_baseline),
-            r.status,
-        ]))
+    lines += [",".join(map(_csv_cell, dataclasses.astuple(r))) for r in records]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0 if any(r.status == "ok" for r in records) else 3
 
@@ -309,7 +279,7 @@ def _add_common_cluster_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chunk-size", type=int, default=4096,
                    help="points per window-step chunk")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker thread cap (default: FASTSHIFT_THREADS or all)")
+                   help="worker thread cap (default: all)")
     p.add_argument("--seed", type=int, default=0, help="master RNG seed")
 
 
@@ -385,6 +355,9 @@ def main(argv=None) -> int:
         return 1
     except RuntimeError as exc:  # e.g. center placement exhausted
         _fail(str(exc))
+        return 3
+    except Exception as exc:  # noqa: BLE001 - one line, never a traceback
+        _fail(f"internal error: {type(exc).__name__}: {exc}")
         return 3
 
 

@@ -32,8 +32,8 @@ class ControllerState:
     stream of its own. Within one ``run_adaptive`` call a retry keeps the
     previous attempt's walkers and only adds seeds; a new call (the next
     frame) starts from fresh seeds.
-    ``exhausted`` flags an accept forced by N reaching n while still under
-    the L*M bound.
+    ``exhausted`` describes the latest call: it flags an accept forced by
+    N reaching n while still under the L*M bound.
     """
 
     N: int
@@ -139,9 +139,9 @@ def run_adaptive(points: VectorSet, cfg: ShiftConfig,
             break
         state.N = n_next
         state.retries += 1
-    if action == "accept" and state.N >= points.n and \
-            state.N < min_seed_bound(M, cfg.seed_low_L):
-        state.exhausted = True
+    # under the floor only N reaching n can accept
+    state.exhausted = (action == "accept"
+                       and state.N < min_seed_bound(M, cfg.seed_low_L))
     state.N = n_next
     # the walkers and the index are dead now; free them before labelling
     del walkers

@@ -14,12 +14,6 @@ import numpy as np
 from . import kernels
 from .core import VectorSet
 
-KINDS = ("blobs", "large_var_blobs", "varied_var_blobs", "uniform_square",
-         "noisy_circles", "anisotropic")
-
-# scaling-series sizes used by the benchmark protocol
-TABLE_SIZES = (1000, 2000, 5000, 10000, 20000, 50000, 100000, 200000)
-
 # per-cluster sigma multipliers for the mixed-variance layout
 VARIED_MULTIPLIERS = (1.0, 2.5, 0.5)
 
@@ -134,23 +128,23 @@ def _gen_anisotropic(spec: GenSpec, transform: np.ndarray):
     return VectorSet(vs.data @ transform), labels, centers @ transform
 
 
+_GENERATORS = {
+    "blobs": gen_blobs,
+    "large_var_blobs": lambda spec: gen_blobs(
+        replace(spec, kind="blobs", noise_sigma=3.0 * spec.noise_sigma)),
+    "varied_var_blobs": _gen_varied,
+    "uniform_square": _gen_uniform,
+    "noisy_circles": _gen_circles,
+    "anisotropic": lambda spec: _gen_anisotropic(spec, ANISO_TRANSFORM),
+}
+
+KINDS = tuple(_GENERATORS)
+
+
 def generate(spec: GenSpec):
     """Dispatch on ``spec.kind``: ``(VectorSet, labels, centers or None)``.
 
     Centers are reported for the blob-derived layouts (sheared centers for
     the anisotropic one); the uniform square and the circles have none.
     """
-    if spec.kind == "blobs":
-        return gen_blobs(spec)
-    if spec.kind == "large_var_blobs":
-        return gen_blobs(
-            replace(spec, kind="blobs", noise_sigma=3.0 * spec.noise_sigma))
-    if spec.kind == "varied_var_blobs":
-        return _gen_varied(spec)
-    if spec.kind == "uniform_square":
-        return _gen_uniform(spec)
-    if spec.kind == "noisy_circles":
-        return _gen_circles(spec)
-    if spec.kind == "anisotropic":
-        return _gen_anisotropic(spec, ANISO_TRANSFORM)
-    raise ValueError(f"unsupported kind {spec.kind!r}")
+    return _GENERATORS[spec.kind](spec)

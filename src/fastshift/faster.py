@@ -12,7 +12,7 @@ adaptive controller's retry continues the previous attempt's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import time
 
 import numpy as np
@@ -34,24 +34,24 @@ class Walkers:
 
     ``index`` is the points' ``kernels.cell_index``, built once per
     controller call. ``seeds`` are the indices of the start points in draw
-    order, ``positions`` where each walker stands and ``converged`` whether
-    it has converged; all three are None until an attempt has run.
+    order, empty until an attempt has run; ``positions`` is where each
+    walker stands and ``converged`` whether it has converged, both None
+    until then.
     """
 
     index: tuple | None
-    seeds: np.ndarray | None = None
+    seeds: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
     positions: np.ndarray | None = None
     converged: np.ndarray | None = None
 
 
-def seed_indices(n: int, N: int, rng_seed: int, taken=None) -> np.ndarray:
+def seed_indices(n: int, N: int, rng_seed: int,
+                 taken: np.ndarray = np.empty(0, np.intp)) -> np.ndarray:
     """Indices of min(N, n) distinct points out of n: ``taken`` first, then
     a uniform draw without replacement from the points not in ``taken``."""
     if N < 1:
         raise ValueError(f"seed count must be >= 1, got {N}")
     rng = np.random.default_rng(rng_seed)
-    if taken is None:
-        return rng.choice(n, size=min(N, n), replace=False)
     free = np.ones(n, dtype=bool)
     free[taken] = False
     pool = np.flatnonzero(free)
@@ -89,7 +89,7 @@ def run_faster(points: VectorSet, N: int, cfg: ShiftConfig,
     seeds = seed_indices(points.n, N, rng_seed, carry.seeds)
     start = points.data[seeds]
     flags = np.zeros(seeds.size, dtype=bool)
-    if carry.seeds is not None:
+    if carry.positions is not None:
         start[:carry.seeds.size] = carry.positions
         flags[:carry.seeds.size] = carry.converged
     positions, converged, sweeps, evals = lockstep(

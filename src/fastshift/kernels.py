@@ -92,7 +92,7 @@ def set_threads(count: int) -> int:
     parallelism is across rows and each row's reduction is sequential.
     """
     if count < 1:
-        raise ValueError("thread count must be >= 1")
+        raise ValueError(f"thread count must be >= 1, got {count}")
     if not HAS_NUMBA:
         return 1
     applied = min(count, numba.config.NUMBA_NUM_THREADS)

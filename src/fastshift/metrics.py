@@ -107,11 +107,6 @@ def _run_method(method: str, points: VectorSet, cfg: ShiftConfig):
     raise ValueError(f"unknown method {method!r}, expected one of {BENCH_METHODS}")
 
 
-def _peak_batch_bytes(method: str, result, n: int, chunk_size: int) -> int:
-    rows = n if method == "baseline" else result.seeds_used
-    return rows * min(chunk_size, n) * 8
-
-
 def bench_run(series: list[GenSpec], methods: list[str], cfg: ShiftConfig,
               repeats: int = 3) -> list[BenchRecord]:
     """Run each method on each generated dataset; one record per pair.
@@ -138,8 +133,10 @@ def bench_run(series: list[GenSpec], methods: list[str], cfg: ShiftConfig,
                 for _ in range(repeats):
                     result = _run_method(method, points, cfg)
                     walls.append(result.wall_time_s)
+                rows = result.seeds_used
                 if method == "baseline":
                     base_labels = result.labels
+                    rows = points.n
                 ri = None
                 if base_labels is not None:
                     ri = rand_index(result.labels, base_labels)
@@ -148,8 +145,7 @@ def bench_run(series: list[GenSpec], methods: list[str], cfg: ShiftConfig,
                     n_points=points.n,
                     wall_time_s=statistics.median(walls),
                     distance_evals=result.distance_evals,
-                    peak_batch_bytes=_peak_batch_bytes(
-                        method, result, points.n, cfg.chunk_size),
+                    peak_batch_bytes=rows * min(cfg.chunk_size, points.n) * 8,
                     modes_found=result.mode_set.m,
                     rand_index_vs_baseline=ri,
                 ))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 import fastshift
 from fastshift import ConfigError, GenSpec, ShiftConfig, VectorSet, gen_blobs
@@ -62,6 +63,27 @@ def make_blobs(n=1500, k=10, sigma=0.1, seed=0):
     spec = GenSpec(kind="blobs", n_points=n, n_clusters=k,
                    noise_sigma=sigma, rng_seed=seed)
     return gen_blobs(spec)
+
+
+# dimensions the engines are checked at besides the protocol's d = 2
+OTHER_DIMS = (1, 3, 8)
+
+
+@st.composite
+def clustered_points(draw, d, max_n=30):
+    """Hypothesis strategy: a VectorSet of 1 to ``max_n`` points in ``d``
+    dimensions, jittered around up to four centres in [-3, 3]^d, so that
+    windows of radius 0.5 to 2.5 hold one point or several."""
+    k = draw(st.integers(1, 4))
+    coord = st.floats(-3.0, 3.0, allow_subnormal=False)
+    centres = np.array(draw(st.lists(coord, min_size=k * d, max_size=k * d)),
+                       dtype=np.float64).reshape(k, d)
+    picks = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=max_n))
+    jitter = st.floats(-0.4, 0.4, allow_subnormal=False)
+    size = len(picks) * d
+    noise = np.array(draw(st.lists(jitter, min_size=size, max_size=size)),
+                     dtype=np.float64).reshape(len(picks), d)
+    return VectorSet(centres[picks] + noise)
 
 
 def scalar_batch_step(rows, points, h):

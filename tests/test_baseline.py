@@ -4,17 +4,27 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fastshift import (
     ShiftConfig,
     VectorSet,
     kde_value,
+    lockstep,
     run_baseline,
     shift_once,
 )
 from fastshift import kernels
 
-from conftest import PointTrajectory, follow_point, make_blobs, scalar_batch_step
+from conftest import (
+    OTHER_DIMS,
+    PointTrajectory,
+    clustered_points,
+    follow_point,
+    make_blobs,
+    scalar_batch_step,
+)
 
 rng = np.random.default_rng(7)
 
@@ -97,6 +107,21 @@ def test_lockstep_equals_independent_trajectories():
     ref = prune_modes(ends, np.ones(pts.n, dtype=int), cfg.bandwidth_h)
     assert ref.modes.tobytes() == res.mode_set.modes.tobytes()
     assert np.array_equal(ref.support, res.mode_set.support)
+
+
+@given(data=st.data())
+def test_lockstep_equals_independent_trajectories_in_other_dims(data):
+    d = data.draw(st.sampled_from(OTHER_DIMS), label="d")
+    pts = data.draw(clustered_points(d), label="points")
+    h = data.draw(st.sampled_from([0.5, 1.0, 2.5]), label="h")
+    cfg = ShiftConfig(bandwidth_h=h, max_iter=50)
+    positions, converged, sweeps, evals = lockstep(pts.data, pts, cfg, 1.0)
+    trajs = [follow_point(x, pts, cfg) for x in pts.data]
+    ends = np.stack([t.current for t in trajs])
+    assert positions.tobytes() == ends.tobytes()
+    assert converged.tolist() == [t.converged for t in trajs]
+    assert sweeps == max(t.iterations for t in trajs)
+    assert evals == sum(t.iterations for t in trajs) * pts.n
 
 
 def test_distance_evals_counts_window_scans_exactly(monkeypatch):

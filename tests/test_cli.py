@@ -1,9 +1,10 @@
 """End-to-end tests of the command-line interface.
 
-Every test shells out through ``python -m fastshift.cli`` so argument
-parsing, exit codes, and output bytes are exercised exactly as a user
-sees them. stderr is never asserted empty: the accelerator import may
-print environment warnings that are not ours to silence.
+Tests shell out through ``python -m fastshift.cli`` so argument parsing,
+exit codes, and output bytes are exercised exactly as a user sees them;
+the few that inject a fault call ``cli.main`` in-process. stderr is
+never asserted empty: the accelerator import may print environment
+warnings that are not ours to silence.
 """
 
 import json
@@ -72,6 +73,8 @@ def test_generate_truth_sidecar(tmp_path):
                   "--clusters", "5", "--seed", "3", "--out", str(out))
     assert res.returncode == 0, res.stderr
     truth = json.loads(out.with_suffix(".truth.json").read_text())
+    assert set(truth) == {"kind", "n_points", "n_clusters", "noise_sigma",
+                          "rng_seed", "box_extent", "labels", "centers"}
     assert truth["kind"] == "blobs"
     assert truth["n_points"] == 200
     assert truth["rng_seed"] == 3
@@ -211,6 +214,36 @@ def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
         assert not out.exists()
 
 
+def test_internal_error_exits_3_with_one_line(workspace, monkeypatch, capsys):
+    from fastshift import cli
+
+    def run_adaptive(points, cfg):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "run_adaptive", run_adaptive)
+    argv = ["cluster", "--input", str(workspace["data"]), "--bandwidth", "0.3"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert error_lines(err) == [
+        "error: internal error: TypeError: unsupported operand"]
+
+    def interrupted(points, cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_adaptive", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(argv)
+
+
+def test_threads_below_one_exits_2(workspace, capsys):
+    from fastshift import cli
+
+    assert cli.main(["cluster", "--input", str(workspace["data"]),
+                     "--threads", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: thread count must be >= 1, got 0\n")
+
+
 def test_cluster_no_converged_seeds_exits_3(workspace):
     res = run_cli("cluster", "--input", str(workspace["data"]),
                   "--method", "faster", "--seeds", "1", "--max-iter", "1",
@@ -303,7 +336,9 @@ def test_bench_writes_expected_table(tmp_path):
                   "--clusters", "3", "--seed", "0", "--out", str(out))
     assert res.returncode == 0, res.stderr
     lines = out.read_text().splitlines()
-    assert lines[0] == BENCH_CSV_HEADER
+    assert lines[0] == BENCH_CSV_HEADER == (
+        "method,n_points,wall_time_s,distance_evals,peak_batch_bytes,"
+        "modes_found,rand_index_vs_baseline,status")
     assert len(lines) == 5
     rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows] == ["baseline", "faster"] * 2

@@ -172,6 +172,22 @@ def test_adaptive_exhaustion_flag():
     assert state.exhausted
 
 
+def test_adaptive_exhaustion_flag_describes_the_latest_frame():
+    rng = np.random.default_rng(0)
+    tiny = VectorSet(np.concatenate(
+        [c + 0.01 * rng.normal(size=(6, 2))
+         for c in ([0.0, 0.0], [50.0, 0.0], [0.0, 50.0], [50.0, 50.0])]))
+    cfg = ShiftConfig(bandwidth_h=0.5, rng_seed=1, n_initial=4)
+    _, state = run_adaptive(tiny, cfg)
+    assert state.exhausted and state.N == 24
+    # the next frame meets the L*M floor well below n: no longer exhausted
+    pts, _, _ = make_blobs(n=2000, k=10, sigma=0.1, seed=42)
+    res, state = run_adaptive(pts, cfg, state)
+    assert state.history[-1] == (96, 10, True)
+    assert res.mode_set.m == 10
+    assert not state.exhausted
+
+
 def test_adaptive_telemetry_accumulates_attempts(monkeypatch):
     pts, _, _ = make_blobs(n=2000, k=20, sigma=0.1, seed=11)
     cfg = ShiftConfig(bandwidth_h=0.3, rng_seed=5)

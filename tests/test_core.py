@@ -21,7 +21,7 @@ from fastshift import (
 )
 from fastshift.core import MAX_SAMPLE_CAP
 
-from conftest import euclidean_distance, window_mask
+from conftest import OTHER_DIMS, clustered_points, euclidean_distance, window_mask
 
 rng = np.random.default_rng(99)
 
@@ -294,6 +294,19 @@ def test_prune_idempotent():
     supports = rng.integers(1, 6, size=200)
     ms = prune_modes(raw, supports, h=0.6)
     again = prune_modes(ms.modes, ms.support, h=0.6)
+    assert again.modes.tobytes() == ms.modes.tobytes()
+    assert np.array_equal(again.support, ms.support)
+
+
+@given(data=st.data())
+def test_prune_idempotent_in_other_dims(data):
+    d = data.draw(st.sampled_from(OTHER_DIMS), label="d")
+    raw = data.draw(clustered_points(d), label="candidates").data
+    supports = np.array(data.draw(st.lists(st.integers(1, 5), min_size=len(raw),
+                                           max_size=len(raw)), label="supports"))
+    h = data.draw(st.sampled_from([0.5, 1.0, 2.5]), label="h")
+    ms = prune_modes(raw, supports, h)
+    again = prune_modes(ms.modes, ms.support, h)
     assert again.modes.tobytes() == ms.modes.tobytes()
     assert np.array_equal(again.support, ms.support)
 

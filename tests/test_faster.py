@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fastshift import (
     NoConvergedSeedsError,
@@ -21,7 +23,7 @@ from fastshift import (
 from fastshift import kernels
 from fastshift.faster import Walkers, seed_indices
 
-from conftest import make_blobs
+from conftest import OTHER_DIMS, clustered_points, make_blobs
 
 rng = np.random.default_rng(21)
 
@@ -224,6 +226,23 @@ def test_exhaustive_seeds_match_baseline_exactly():
     assert rand_index(fast.labels, base.labels) >= 0.99
 
 
+@given(data=st.data())
+def test_exhaustive_seeds_match_baseline_in_other_dims(data):
+    d = data.draw(st.sampled_from(OTHER_DIMS), label="d")
+    pts = data.draw(clustered_points(d), label="points")
+    h = data.draw(st.sampled_from([0.5, 1.0, 2.5]), label="h")
+    runs = []
+    for chunk in (1, 7, 4096):
+        cfg = ShiftConfig(bandwidth_h=h, early_stop_gamma=1.0,
+                          chunk_size=chunk)
+        runs += [run_baseline(pts, cfg), run_faster(pts, pts.n, cfg)]
+    first = runs[0]
+    for res in runs[1:]:
+        assert res.mode_set.modes.tobytes() == first.mode_set.modes.tobytes()
+        assert np.array_equal(res.mode_set.support, first.mode_set.support)
+        assert np.array_equal(res.labels, first.labels)
+
+
 def test_ten_blob_protocol_finds_ten_modes():
     pts, _, centers = make_blobs(n=2000, k=10, sigma=0.1, seed=42)
     res = run_faster(pts, 128, ShiftConfig(bandwidth_h=0.3, rng_seed=0))
@@ -316,6 +335,15 @@ def test_retry_keeps_seeds_and_adds_unused_points():
     assert np.array_equal(np.sort(walkers.seeds), np.arange(pts.n))
     with pytest.raises(ValueError):
         seed_indices(10, 0, rng_seed=0)
+
+
+@pytest.mark.parametrize("n,N,seed", [(1, 1, 0), (10, 3, 1), (10, 10, 2),
+                                      (10, 25, 3), (5000, 128, 42)])
+def test_seed_indices_with_nothing_taken_is_a_plain_choice(n, N, seed):
+    ref = np.random.default_rng(seed).choice(n, min(N, n), replace=False)
+    got = seed_indices(n, N, seed)
+    assert got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_retry_walkers_end_where_independent_walks_end(monkeypatch):

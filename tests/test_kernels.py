@@ -424,7 +424,7 @@ def test_thread_count_does_not_change_bits(restore_backend):
 
 
 def test_set_threads_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="thread count must be >= 1, got 0"):
         kernels.set_threads(0)
 
 
