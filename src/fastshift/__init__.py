@@ -24,13 +24,11 @@ from .core import (
 )
 from .datagen import GenSpec, gen_blobs, generate
 from .faster import run_faster, sample_seeds
-from .kernels import active_backend, set_backend, set_threads
-from .metrics import BenchRecord, bench_run, mode_match, rand_index
+from .metrics import rand_index
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRecord",
     "ClusterResult",
     "ConfigError",
     "ControllerState",
@@ -40,9 +38,7 @@ __all__ = [
     "NoModesError",
     "ShiftConfig",
     "VectorSet",
-    "active_backend",
     "assign_labels",
-    "bench_run",
     "coverage_probability",
     "estimate_bandwidth",
     "gen_blobs",
@@ -50,7 +46,6 @@ __all__ = [
     "kde_value",
     "lockstep",
     "min_seed_bound",
-    "mode_match",
     "next_seed_count",
     "prune_modes",
     "rand_index",
@@ -58,7 +53,5 @@ __all__ = [
     "run_baseline",
     "run_faster",
     "sample_seeds",
-    "set_backend",
-    "set_threads",
     "shift_once",
 ]

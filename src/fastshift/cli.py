@@ -249,8 +249,9 @@ def cmd_compare(args) -> int:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read result file {path}: {exc}") from exc
         found = payload.get("labels") if isinstance(payload, dict) else None
+        # JSON true and false load as bool, a subclass of int
         if not (isinstance(found, list)
-                and all(isinstance(x, int) for x in found)):
+                and all(type(x) is int for x in found)):
             raise ConfigError(f"result file {path} has no 'labels' list "
                               f"of integers")
         labels.append(found)

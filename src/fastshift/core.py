@@ -211,7 +211,8 @@ def estimate_bandwidth(points: VectorSet, quantile: float = 0.3,
     sampled point's distance to its ``max(1, floor(quantile * sample_size))``-th
     nearest neighbour within the sample, and returns the mean of those
     distances. Deterministic for a fixed ``rng_seed``; when the cap covers
-    the whole set the sample is the full set and the seed is irrelevant.
+    the whole set the sample is every point, in an order the seed picks,
+    and the estimate does not depend on that order.
 
     Returns 0.0 when all points coincide; callers must reject a zero
     bandwidth as a configuration error.
@@ -223,13 +224,9 @@ def estimate_bandwidth(points: VectorSet, quantile: float = 0.3,
     if not (2 <= sample_cap <= MAX_SAMPLE_CAP):
         raise ConfigError(f"sample_cap must be in [2, {MAX_SAMPLE_CAP}], "
                           f"got {sample_cap}")
-    if sample_cap >= points.n:
-        sample = points.data
-    else:
-        rng = np.random.default_rng(rng_seed)
-        idx = rng.choice(points.n, size=sample_cap, replace=False)
-        sample = points.data[idx]
-    s = sample.shape[0]
+    s = min(sample_cap, points.n)
+    sample = points.data[np.random.default_rng(rng_seed).choice(
+        points.n, size=s, replace=False)]
     k_nn = max(1, int(np.floor(quantile * s)))
     # row blocks bound the memory at any sample size; the k-th smallest of
     # a row is the same value however it is found

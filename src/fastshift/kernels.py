@@ -2,12 +2,13 @@
 
 The window step (seed-vs-point window reductions) runs one block loop on
 both backends, and only its inner kernel exists twice: a numba ``@njit``
-loop and a pure numpy fallback. ``FASTSHIFT_BACKEND`` (``numba`` or
-``numpy``; default ``numba`` when numba imports) picks it at import, and
-:func:`set_backend` at runtime. Nearest-mode labels and greedy mode
-pruning are numpy on both backends: each costs milliseconds next to the
-window sweeps on the benchmark workloads, and a numba twin would be code
-that cannot be measured where numba is missing.
+loop and a pure numpy fallback. :data:`BACKENDS`, the backends this
+machine can run with the default first, is the one availability rule:
+``FASTSHIFT_BACKEND`` picks from it at import (any other value warns and
+keeps the default) and :func:`set_backend` at runtime. Nearest-mode labels
+and greedy mode pruning are numpy on both backends: each costs
+milliseconds next to the window sweeps on the benchmark workloads, and a
+numba twin would be code that cannot be measured where numba is missing.
 
 Both inner kernels implement the *same* reduction semantics: per row,
 points are folded in ascending index order into a running sum, counts are
@@ -21,13 +22,13 @@ bit.
 
 The window step tests each row only against the points of the cells
 around it, found through the :func:`cell_index` that ``core.lockstep``
-sorts the points into once per run. The grid drops only points the kernel
-would reject, so results are the brute-force bytes. A row's result is a
-function of its bits alone, so each set of bit-identical rows is stepped
-once and the others get a copy; callers still count every row they pass
-(rows times points evaluations), whatever the grid and the deduplication
-save. :func:`row_blocks` bounds every matrix-shaped buffer, here and in
-the bandwidth estimate.
+sorts the points into once per run; rows and points share one cell key.
+One sort of the rows by (key, bits) makes the blocks, one per key, and
+steps each set of bit-identical rows once, since a row's result is a
+function of its bits alone. The grid drops only points the kernel would
+reject, so results are the brute-force bytes; callers still count every
+row they pass (rows times points evaluations). :func:`row_blocks` bounds
+every matrix-shaped buffer, here and in the bandwidth estimate.
 """
 
 from __future__ import annotations
@@ -45,29 +46,19 @@ try:
 except ImportError:  # pragma: no cover - exercised only where numba is absent
     HAS_NUMBA = False
 
-_VALID_BACKENDS = ("numba", "numpy")
-
 # floats in one matrix-shaped numpy buffer (512 KB), small enough to stay in
 # cache; :func:`row_blocks` sizes every row block from it
 BLOCK_FLOATS = 65_536
 
+# the backends this machine can run, the default first
+BACKENDS = ("numba", "numpy") if HAS_NUMBA else ("numpy",)
 
-def _resolve_default() -> str:
-    env = os.environ.get("FASTSHIFT_BACKEND", "").strip().lower()
-    if env:
-        if env not in _VALID_BACKENDS:
-            raise ValueError(
-                f"FASTSHIFT_BACKEND must be one of {_VALID_BACKENDS}, got {env!r}"
-            )
-        if env == "numba" and not HAS_NUMBA:
-            warnings.warn("FASTSHIFT_BACKEND=numba but numba is not installed; "
-                          "falling back to numpy")
-            return "numpy"
-        return env
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_backend = _resolve_default()
+_backend = (os.environ.get("FASTSHIFT_BACKEND", "").strip().lower()
+            or BACKENDS[0])
+if _backend not in BACKENDS:
+    warnings.warn(f"FASTSHIFT_BACKEND={_backend} but {_backend} is not "
+                  f"installed; falling back to {BACKENDS[0]}")
+    _backend = BACKENDS[0]
 
 
 def active_backend() -> str:
@@ -76,12 +67,10 @@ def active_backend() -> str:
 
 
 def set_backend(name: str) -> None:
-    """Switch kernels to ``numba`` or ``numpy`` for this process."""
+    """Switch the window step's inner kernel to one of :data:`BACKENDS`."""
     global _backend
-    if name not in _VALID_BACKENDS:
-        raise ValueError(f"backend must be one of {_VALID_BACKENDS}, got {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not installed")
+    if name not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
     _backend = name
 
 
@@ -235,11 +224,17 @@ def _within_reach(x, h):
     return bool(np.abs(x).max(initial=0.0) <= 2.0 ** 28 * h)
 
 
-def _cells(x, lo, side, axes):
-    """Grid cell of every row of ``x`` on the key axes, as ``(major, minor)``
-    int64 arrays; with a single key axis every minor cell is 0."""
+def _keys(x, lo, side, axes, width):
+    """Grid cell key ``major * width + minor`` of every row of ``x``: its
+    cells on the first and the second key axis, the minor one clamped to
+    ``[0, width)``, which only adds neighbour cells; with one key axis the
+    key is the major cell."""
     cells = [np.floor((x[:, k] - lo[k]) / side).astype(np.int64) for k in axes]
-    return cells[0], cells[1] if len(cells) > 1 else np.zeros_like(cells[0])
+    keys = cells[0]
+    keys *= width
+    if len(cells) > 1:
+        keys += np.clip(cells[1], 0, width - 1, out=cells[1])
+    return keys
 
 
 def cell_index(points, h):
@@ -248,10 +243,10 @@ def cell_index(points, h):
     Cells have side ``h * (1 + 2**-20)``, start at the points' per-axis
     minimum ``lo`` and are keyed on the two widest axes in axis order (the
     one axis when d = 1). Returns ``(lo, side, axes, width, keys, order)``:
-    ``order`` sorts the points stably by cell key ``major * width + minor``,
-    and ``keys`` are the sorted keys. Returns ``None`` when the grid is not
-    exact: ``h * h`` is not a normal float, or a coordinate exceeds
-    ``2**28 * h`` in magnitude.
+    ``width`` is the number of minor cells, ``order`` sorts the points
+    stably by cell key ``major * width + minor``, and ``keys`` are the
+    sorted keys. Returns ``None`` when the grid is not exact: ``h * h`` is
+    not a normal float, or a coordinate exceeds ``2**28 * h`` in magnitude.
 
     Exactness: the grid drops a point only when it is two or more cells
     from the row on a key axis. Within that reach a computed cell position
@@ -267,61 +262,15 @@ def cell_index(points, h):
         return None
     side = h * (1.0 + 2.0 ** -20)
     lo = points.min(axis=0)
-    axes = np.sort(np.argsort(lo - points.max(axis=0), kind="stable")[:2])
-    keys, minor = _cells(points, lo, side, axes)
-    width = int(minor.max()) + 1
-    keys *= width
-    keys += minor
-    del minor
+    hi = points.max(axis=0)
+    axes = np.sort(np.argsort(lo - hi, kind="stable")[:2])
+    # the extreme point has the last minor cell: subtraction, division and
+    # floor are monotone
+    width = (int(np.floor((hi[axes[1]] - lo[axes[1]]) / side)) + 1
+             if axes.size > 1 else 1)
+    keys = _keys(points, lo, side, axes, width)
     order = np.argsort(keys, kind="stable")
     return lo, side, axes, width, keys[order], order
-
-
-def _blocks(rows, points, h, index):
-    """Sort the rows by (grid cell, bits) and group the distinct ones.
-
-    Returns ``((twins, firsts), blocks)``. ``twins`` are the indices of the
-    rows bit for bit equal to another row and ``firsts`` the indices of the
-    rows they equal, which are the ones stepped. ``blocks`` yields
-    ``(members, candidates)``: the indices of the distinct rows in one grid
-    cell and the points of its 3 by 3 neighbour cells, in ascending index
-    order; or one block of every distinct row and every point when there
-    is no index or the rows lie beyond its exact reach. Equal bits mean
-    equal cells, so the one sort puts twins next to each other; comparing
-    bits, not values, keeps 0.0 and -0.0 apart.
-    """
-    gridded = index is not None and _within_reach(rows, h)
-    cells = _cells(rows, *index[:3]) if gridded else ()
-    bits = rows.view(np.int64)
-    order = np.lexsort(tuple(bits.T) + cells[::-1])
-    twin = np.zeros(order.size, bool)
-    twin[1:] = (bits[order[1:]] == bits[order[:-1]]).all(axis=1)
-    first = np.maximum.accumulate(np.where(twin, 0, np.arange(order.size)))
-    copies = order[twin], order[first[twin]]
-    distinct = order[~twin]
-    if not gridded:
-        return copies, [(distinct, points)]
-    width, keys, point_order = index[3:]
-    major, minor = (c[distinct] for c in cells)
-    new = np.ones(distinct.size, bool)
-    new[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
-    heads = np.flatnonzero(new)
-    major, minor = major[heads, None], minor[heads, None]
-    # three key ranges per group, one per major neighbour cell, each over
-    # the minor neighbour cells that exist
-    base = (major + np.arange(-1, 2)) * width
-    starts = keys.searchsorted(base + np.maximum(minor - 1, 0), "left")
-    stops = keys.searchsorted(base + np.minimum(minor + 1, width - 1), "right")
-
-    def blocks():
-        for members, first, last in zip(np.split(distinct, heads[1:]),
-                                        starts, stops):
-            # gather at once, so only the candidate points outlive this line
-            yield members, np.take(points, np.sort(np.concatenate(
-                [point_order[a:b] for a, b in zip(first, last)]),
-                kind="stable"), axis=0)
-
-    return copies, blocks()
 
 
 def batch_step(rows, points, h, chunk_size, index=None):
@@ -329,12 +278,13 @@ def batch_step(rows, points, h, chunk_size, index=None):
 
     Rows with an empty window stay put. Returns ``(new_rows, window_counts)``.
     ``index`` is the ``cell_index(points, h)`` its caller builds once per
-    run, as ``core.lockstep`` does; without it each row tests every point.
-    The bytes are those of testing every (row, point) pair. A row's result
-    depends on its bits alone, so each set of bit-identical rows is stepped
-    once and its result copied to the others. Callers count rows times
-    points distance evaluations per call, whatever the grid and the
-    deduplication save.
+    run, as ``core.lockstep`` does; without it, or for rows beyond its
+    reach, all rows and points share one cell. A cell's rows are stepped
+    over the points of its 3 by 3 neighbour cells in index order, so the
+    bytes are those of testing every (row, point) pair, and each set of
+    bit-identical rows once, its result copied to the others. Callers
+    count rows times points distance evaluations per call, whatever the
+    grid and the deduplication save.
     """
     rows = as_matrix(rows)
     points = as_matrix(points)
@@ -342,8 +292,41 @@ def batch_step(rows, points, h, chunk_size, index=None):
     pool = {}
     out = np.empty_like(rows)
     counts = np.empty(rows.shape[0], np.int64)
-    (twins, firsts), blocks = _blocks(rows, points, h, index)
-    for members, cand in blocks:
+    if index is not None and _within_reach(rows, h):
+        width, keys, point_order = index[3:]
+        key = _keys(rows, *index[:4])
+    else:
+        n = points.shape[0]
+        width, keys, point_order = 1, np.zeros(n, np.int64), np.arange(n)
+        key = np.zeros(rows.shape[0], np.int64)
+    # equal bits mean equal keys, so one sort by (key, bits) puts each
+    # row's twins, the rows bit for bit equal to it, right after it;
+    # comparing bits, not values, keeps 0.0 and -0.0 apart
+    bits = rows.view(np.int64)
+    order = np.lexsort((*bits.T, key))
+    twin = np.zeros(order.size, bool)
+    twin[1:] = (bits[order[1:]] == bits[order[:-1]]).all(axis=1)
+    first = np.maximum.accumulate(np.where(twin, 0, np.arange(order.size)))
+    twins, firsts = order[twin], order[first[twin]]
+    distinct = order[~twin]
+    key = key[distinct]
+    new = np.ones(distinct.size, bool)
+    new[1:] = key[1:] != key[:-1]
+    heads = np.flatnonzero(new)
+    # three key ranges per cell, one per major neighbour cell, each over
+    # the minor neighbour cells that exist
+    minor = key[heads, None] % width
+    base = key[heads, None] - minor + np.arange(-1, 2) * width
+    starts = keys.searchsorted(base + np.maximum(minor - 1, 0), "left")
+    stops = keys.searchsorted(base + np.minimum(minor + 1, width - 1), "right")
+    # only the output, the groups and one index per row outlive the sort
+    del order, twin, first, key, new
+    for members, lows, highs in zip(np.split(distinct, heads[1:]), starts,
+                                    stops):
+        # gather at once, so only the candidate points outlive this line
+        cand = np.take(points, np.sort(np.concatenate(
+            [point_order[a:b] for a, b in zip(lows, highs)]), kind="stable"),
+            axis=0)
         # rows are independent, so row blocks cannot change any value; the
         # numpy kernel keeps three floats per pair, a weight and a complex
         # scan slot, so a block's buffers hold 2 * BLOCK_FLOATS floats

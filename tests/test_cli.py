@@ -325,6 +325,17 @@ def test_compare_malformed_result_exits_2(tmp_path, workspace, text):
     assert "Traceback" not in res.stderr
 
 
+def test_compare_boolean_labels_exit_2(tmp_path):
+    # JSON true and false load as Python bools, which are ints to isinstance
+    ints, bools = tmp_path / "ints.json", tmp_path / "bools.json"
+    ints.write_text('{"labels": [1, 0, 1]}\n')
+    bools.write_text('{"labels": [true, false, true]}\n')
+    res = run_cli("compare", "--a", str(ints), "--b", str(bools))
+    assert res.returncode == 2
+    assert error_lines(res.stderr) == [
+        f"error: result file {bools} has no 'labels' list of integers"]
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -372,6 +383,88 @@ def test_bench_unknown_method_exits_2(tmp_path):
                   "--out", str(tmp_path / "b.csv"))
     assert res.returncode == 2
     assert "error:" in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# degenerate input and d != 2, in-process on CSVs written here
+
+
+def _write_csv(path, x):
+    np.savetxt(path, x, fmt="%.17g", delimiter=",")
+    return str(path)
+
+
+def _blobs(d, offset=0.0):
+    """Three blobs of 40 points, sigma 0.05, their centers 5 apart."""
+    gen = np.random.default_rng(d)
+    centers = offset + 5.0 * np.arange(3.0)[:, None] * np.ones(d)
+    return np.concatenate([c + gen.normal(0.0, 0.05, size=(40, d))
+                           for c in centers])
+
+
+def _cluster(tmp_path, data, *extra):
+    """Exit code of ``cluster`` on ``data`` and its result JSON, or None."""
+    from fastshift import cli
+
+    out = tmp_path / "result.json"
+    out.unlink(missing_ok=True)
+    code = cli.main(["cluster", "--input", data, "--no-timing",
+                     "--out", str(out), *extra])
+    return code, json.loads(out.read_text()) if out.exists() else None
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_cluster_any_dimension_finds_each_blob(tmp_path, d):
+    data = _write_csv(tmp_path / "blobs.csv", _blobs(d))
+    for method in ("baseline", "faster", "adaptive"):
+        runs = [_cluster(tmp_path, data, "--method", method,
+                         "--bandwidth", "0.5") for _ in range(2)]
+        assert runs[0][0] == 0, method
+        assert runs[0] == runs[1], method
+        modes = np.array(runs[0][1]["modes"])
+        assert modes.shape == (3, d), method
+        assert np.allclose(np.sort(modes[:, 0]), [0.0, 5.0, 10.0],
+                           atol=0.05), method
+
+
+def test_degenerate_input_exit_codes(tmp_path, capsys):
+    same = _write_csv(tmp_path / "same.csv", np.full((50, 2), 1.5))
+    # the bandwidth estimate needs two distinct points
+    assert _cluster(tmp_path, same) == (2, None)
+    assert len(error_lines(capsys.readouterr().err)) == 1
+    code, result = _cluster(tmp_path, same, "--bandwidth", "1")
+    assert code == 0 and result["modes"] == [[1.5, 1.5]]
+    one = _write_csv(tmp_path / "one.csv", [[0.25, -1.0]])
+    assert _cluster(tmp_path, one) == (2, None)
+    assert len(error_lines(capsys.readouterr().err)) == 1
+    # h * h underflows to 0, so no exact grid exists and every walker
+    # tests every point
+    spread = _write_csv(tmp_path / "spread.csv", _blobs(2)[::4])
+    assert _cluster(tmp_path, spread, "--bandwidth", "1e-320")[0] == 0
+    # coordinates beyond 2**28 * h also leave the grid aside
+    far = _write_csv(tmp_path / "far.csv", _blobs(2, offset=1e9))
+    assert 1e9 > 2.0 ** 28 * 0.5
+    code, result = _cluster(tmp_path, far, "--bandwidth", "0.5")
+    assert code == 0 and len(result["modes"]) == 3
+
+
+def test_unknown_backend_warns_and_runs_the_default(workspace):
+    # the environment picks from the backends this machine can run; any
+    # other name warns and keeps the default, for every command
+    env = {"FASTSHIFT_BACKEND": "gpu"}
+    fallback = (f"FASTSHIFT_BACKEND=gpu but gpu is not installed; "
+                f"falling back to {kernels.BACKENDS[0]}")
+    res = run_cli("--help", env_extra=env)
+    assert res.returncode == 0
+    out = workspace["root"] / "fast_gpu.json"
+    ran = run_cli("cluster", "--input", str(workspace["data"]),
+                  "--method", "faster", "--seeds", "all", "--gamma", "1.0",
+                  "--bandwidth", "0.3", "--no-timing", "--out", str(out),
+                  env_extra=env)
+    assert ran.returncode == 0
+    for stderr in (res.stderr, ran.stderr):
+        assert fallback in stderr and "Traceback" not in stderr
+    assert out.read_bytes() == workspace["fast"][0].read_bytes()
 
 
 # ---------------------------------------------------------------------------

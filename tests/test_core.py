@@ -214,6 +214,24 @@ def test_bandwidth_permutation_invariant_when_uncapped():
     assert a == b
 
 
+@given(data=st.data())
+def test_bandwidth_bits_ignore_row_order_when_uncapped(data):
+    # a cap that covers every point samples all of them in an order the
+    # seed picks; the sorted sum of per-point distances must not see it
+    d = data.draw(st.sampled_from((2, *OTHER_DIMS)), label="d")
+    x = data.draw(clustered_points(d), label="points").data
+    if len(x) < 2:
+        x = np.concatenate([x, x + 0.5])
+    perm = np.array(data.draw(st.permutations(range(len(x))), label="perm"))
+    cap = data.draw(st.integers(len(x), MAX_SAMPLE_CAP), label="cap")
+    q = data.draw(st.sampled_from([0.05, 0.3, 0.9]), label="quantile")
+    seeds = data.draw(st.lists(st.integers(0, 2 ** 32), min_size=2,
+                               max_size=2), label="seeds")
+    a = estimate_bandwidth(VectorSet(x), q, cap, seeds[0])
+    b = estimate_bandwidth(VectorSet(x[perm]), q, cap, seeds[1])
+    assert a.hex() == b.hex()
+
+
 def test_bandwidth_identical_points_gives_zero():
     vs = VectorSet(np.zeros((10, 2)))
     assert estimate_bandwidth(vs) == 0.0

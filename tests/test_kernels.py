@@ -95,14 +95,17 @@ def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
 
 def test_batch_step_empty_window_keeps_row(backend):
     # 1e6 is inside the grid's coordinate limit (2**28 * H), so the row gets
-    # an empty candidate set; 1e9 is beyond it and every point is tested
+    # an empty candidate set; 1e9 is beyond it and every point is tested.
+    # A row far out on one axis alone gets its minor cell clamped to the
+    # grid, so its candidates are edge cells the kernel rejects
     index = kernels.cell_index(POINTS, H)
     assert index is not None
     for coord, gridded in ((1e6, True), (1e9, False)):
-        far = np.full((1, 3), coord)
+        far = np.concatenate([np.full((1, 3), coord),
+                              np.eye(3) * coord, -np.eye(3) * coord])
         assert (coord <= 2.0 ** 28 * H) is gridded
         out, counts = kernels.batch_step(far, POINTS, H, 64, index)
-        assert counts[0] == 0
+        assert not counts.any()
         assert out.tobytes() == far.tobytes()
 
 
