@@ -46,6 +46,9 @@ BENCH_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(BenchRecord))
 
 _FLOAT_FMT = "%.17g"
 
+# labels per text piece of a streamed result
+_LABEL_CHUNK = 4096
+
 
 def _fail(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
@@ -98,19 +101,21 @@ def _resolve_seeds(value: str | None, n: int, default: int) -> int:
     return count
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """Write ``text`` to stdout, or replace the file at ``path`` atomically.
+def _write_text(path: str | None, pieces) -> None:
+    """Write the text ``pieces`` to stdout, or replace the file at ``path``
+    atomically.
 
-    A regular or missing target (after following symlinks) gets the text
-    through a new temporary file beside it, which then replaces it in one
-    rename: a failed write leaves any earlier file untouched and no
-    partial file behind, and an earlier file's mode is kept (its owner
-    too, where the user may set it). Any other target, such as
-    ``/dev/null`` or ``/dev/stdout``, is written through, since a rename
-    would replace the device or pipe itself.
+    A regular or missing target (after following symlinks) gets the
+    pieces, in order, through a new temporary file beside it, which then
+    replaces it in one rename: a failed write, or an exception from the
+    pieces' iterator, leaves any earlier file untouched and no partial
+    file behind, and an earlier file's mode is kept (its owner too, where
+    the user may set it). Any other target, such as ``/dev/null`` or
+    ``/dev/stdout``, is written through, since a rename would replace the
+    device or pipe itself.
     """
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     target = Path(os.path.realpath(path))
     try:
@@ -119,7 +124,7 @@ def _write_text(path: str | None, text: str) -> None:
         old = None
     if old is not None and not stat.S_ISREG(old.st_mode):
         with open(target, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         return
     tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
     try:
@@ -132,7 +137,7 @@ def _write_text(path: str | None, text: str) -> None:
                 with contextlib.suppress(PermissionError):
                     os.fchown(fh.fileno(), old.st_uid, old.st_gid)
                 os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -146,11 +151,12 @@ def cmd_generate(args) -> int:
     points, labels, centers = generate(spec)
     csv = io.StringIO()
     np.savetxt(csv, points.data, fmt=_FLOAT_FMT, delimiter=",")
-    _write_text(args.out, csv.getvalue())
+    _write_text(args.out, [csv.getvalue()])
     truth = {**dataclasses.asdict(spec), "labels": labels.tolist(),
              "centers": None if centers is None else centers.tolist()}
     _write_text(str(Path(args.out).with_suffix(".truth.json")),
-                json.dumps(truth, sort_keys=True, separators=(",", ":")) + "\n")
+                [json.dumps(truth, sort_keys=True, separators=(",", ":"))
+                 + "\n"])
     return 0
 
 
@@ -175,12 +181,12 @@ def cmd_cluster(args) -> int:
     else:
         result, _ = run_adaptive(points, cfg)
 
+    labels = result.labels
     payload = {
         "method": args.method,
         "n_points": points.n,
         "modes": result.mode_set.modes.tolist(),
         "support": result.mode_set.support.tolist(),
-        "labels": result.labels.tolist(),
         "seeds_used": result.seeds_used,
         "seeds_discarded": result.seeds_discarded,
         "iterations_run": result.iterations_run,
@@ -189,9 +195,28 @@ def cmd_cluster(args) -> int:
         "config": {"backend": kernels.active_backend(),
                    **dataclasses.asdict(cfg)},
     }
-    _write_text(args.out, json.dumps(payload, sort_keys=True,
-                                     separators=(",", ":")) + "\n")
+    # only the labels are still needed: free the points before writing
+    del points, result
+    _write_text(args.out, _result_pieces(payload, labels))
     return 0
+
+
+def _result_pieces(payload: dict, labels: np.ndarray):
+    """Text pieces of ``payload`` with ``labels`` as its ``"labels"`` list.
+
+    They join to the ``json.dumps(..., sort_keys=True, separators=(",",
+    ":"))`` of the whole payload plus a newline, but the labels are
+    encoded straight from the array, ``_LABEL_CHUNK`` at a time, so neither
+    a list of n Python ints nor the whole text is ever held.
+    """
+    head, tail = json.dumps({**payload, "labels": []}, sort_keys=True,
+                            separators=(",", ":")).split('"labels":[]')
+    yield head + '"labels":['
+    for lo in range(0, labels.size, _LABEL_CHUNK):
+        chunk = json.dumps(labels[lo:lo + _LABEL_CHUNK].tolist(),
+                           separators=(",", ":"))
+        yield ("," if lo else "") + chunk[1:-1]
+    yield "]" + tail + "\n"
 
 
 def _csv_cell(value) -> str:
@@ -237,7 +262,7 @@ def cmd_bench(args) -> int:
 
     lines = [BENCH_CSV_HEADER]
     lines += [",".join(map(_csv_cell, dataclasses.astuple(r))) for r in records]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, ["\n".join(lines) + "\n"])
     return 0 if any(r.status == "ok" for r in records) else 3
 
 

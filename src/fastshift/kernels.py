@@ -22,7 +22,9 @@ bit.
 
 The window step tests each row only against the points of the cells
 around it, found through the :func:`cell_index` that ``core.lockstep``
-sorts the points into once per run; rows and points share one cell key.
+sorts the points into once per run: the point order plus, for each
+occupied cell only, its key and where its points start in that order.
+Rows and points share one cell key.
 One sort of the rows by (key, bits) makes the blocks, one per key, and
 steps each set of bit-identical rows once, since a row's result is a
 function of its bits alone. The grid drops only points the kernel would
@@ -228,12 +230,16 @@ def _keys(x, lo, side, axes, width):
     """Grid cell key ``major * width + minor`` of every row of ``x``: its
     cells on the first and the second key axis, the minor one clamped to
     ``[0, width)``, which only adds neighbour cells; with one key axis the
-    key is the major cell."""
-    cells = [np.floor((x[:, k] - lo[k]) / side).astype(np.int64) for k in axes]
-    keys = cells[0]
-    keys *= width
-    if len(cells) > 1:
-        keys += np.clip(cells[1], 0, width - 1, out=cells[1])
+    key is the major cell. Built in blocks of 4,096 rows, so the only
+    n-sized array is the result: a block's few temporaries per key axis
+    stay well under it."""
+    keys = np.empty(x.shape[0], np.int64)
+    for block in row_blocks(x.shape[0], 16):
+        cells = [np.floor((x[block, k] - lo[k]) / side).astype(np.int64)
+                 for k in axes]
+        keys[block] = cells[0] * width
+        if len(cells) > 1:
+            keys[block] += np.clip(cells[1], 0, width - 1, out=cells[1])
     return keys
 
 
@@ -242,11 +248,14 @@ def cell_index(points, h):
 
     Cells have side ``h * (1 + 2**-20)``, start at the points' per-axis
     minimum ``lo`` and are keyed on the two widest axes in axis order (the
-    one axis when d = 1). Returns ``(lo, side, axes, width, keys, order)``:
-    ``width`` is the number of minor cells, ``order`` sorts the points
-    stably by cell key ``major * width + minor``, and ``keys`` are the
-    sorted keys. Returns ``None`` when the grid is not exact: ``h * h`` is
-    not a normal float, or a coordinate exceeds ``2**28 * h`` in magnitude.
+    one axis when d = 1). Returns ``(lo, side, axes, width, cells, offsets,
+    order)``: ``width`` is the number of minor cells, ``order`` sorts the
+    points stably by cell key ``major * width + minor``, ``cells`` are the
+    sorted keys of the occupied cells, and the points of ``cells[i]`` are
+    ``order[offsets[i]:offsets[i + 1]]``, with ``offsets[-1]`` = n. Only
+    ``order`` grows with n beyond the occupied cells. Returns ``None``
+    when the grid is not exact: ``h * h`` is not a normal float, or a
+    coordinate exceeds ``2**28 * h`` in magnitude.
 
     Exactness: the grid drops a point only when it is two or more cells
     from the row on a key axis. Within that reach a computed cell position
@@ -270,21 +279,27 @@ def cell_index(points, h):
              if axes.size > 1 else 1)
     keys = _keys(points, lo, side, axes, width)
     order = np.argsort(keys, kind="stable")
-    return lo, side, axes, width, keys[order], order
+    keys.sort()
+    # where each run of equal keys starts, then n
+    offsets = np.r_[0, np.flatnonzero(keys[1:] != keys[:-1]) + 1, keys.size]
+    return lo, side, axes, width, keys[offsets[:-1]], offsets, order
 
 
 def batch_step(rows, points, h, chunk_size, index=None):
     """Move each row to the mean of all points within distance ``h`` of it.
 
     Rows with an empty window stay put. Returns ``(new_rows, window_counts)``.
-    ``index`` is the ``cell_index(points, h)`` its caller builds once per
-    run, as ``core.lockstep`` does; without it, or for rows beyond its
-    reach, all rows and points share one cell. A cell's rows are stepped
-    over the points of its 3 by 3 neighbour cells in index order, so the
-    bytes are those of testing every (row, point) pair, and each set of
-    bit-identical rows once, its result copied to the others. Callers
-    count rows times points distance evaluations per call, whatever the
-    grid and the deduplication save.
+    ``index`` is the ``(lo, side, axes, width, cells, offsets, order)``
+    of ``cell_index(points, h)``, which its caller builds once per run, as
+    ``core.lockstep`` does; without it, or for rows beyond its reach, all
+    rows and points share one cell. A cell's rows are stepped over the
+    points of its 3 by 3 neighbour cells in index order, found by
+    searching ``cells`` and read from ``order`` through ``offsets``, so
+    the bytes are those of testing every (row, point) pair; when those
+    cells hold every point, the kernel reads ``points`` itself. Each set
+    of bit-identical rows is stepped once, its result copied to the
+    others. Callers count rows times points distance evaluations per
+    call, whatever the grid and the deduplication save.
     """
     rows = as_matrix(rows)
     points = as_matrix(points)
@@ -292,12 +307,15 @@ def batch_step(rows, points, h, chunk_size, index=None):
     pool = {}
     out = np.empty_like(rows)
     counts = np.empty(rows.shape[0], np.int64)
+    n = points.shape[0]
     if index is not None and _within_reach(rows, h):
-        width, keys, point_order = index[3:]
+        width, cells, offsets, point_order = index[3:]
         key = _keys(rows, *index[:4])
     else:
-        n = points.shape[0]
-        width, keys, point_order = 1, np.zeros(n, np.int64), np.arange(n)
+        # one cell holds every row and point, so each group's ranges cover
+        # every point and no point order is needed
+        width, cells, offsets, point_order = (1, np.zeros(1, np.int64),
+                                              np.array([0, n]), None)
         key = np.zeros(rows.shape[0], np.int64)
     # equal bits mean equal keys, so one sort by (key, bits) puts each
     # row's twins, the rows bit for bit equal to it, right after it;
@@ -313,20 +331,25 @@ def batch_step(rows, points, h, chunk_size, index=None):
     new = np.ones(distinct.size, bool)
     new[1:] = key[1:] != key[:-1]
     heads = np.flatnonzero(new)
-    # three key ranges per cell, one per major neighbour cell, each over
-    # the minor neighbour cells that exist
+    # three ranges of cells per group, one per major neighbour cell, each
+    # over the minor neighbour cells that exist, and the ranges of
+    # ``point_order`` that hold their points
     minor = key[heads, None] % width
     base = key[heads, None] - minor + np.arange(-1, 2) * width
-    starts = keys.searchsorted(base + np.maximum(minor - 1, 0), "left")
-    stops = keys.searchsorted(base + np.minimum(minor + 1, width - 1), "right")
+    starts = offsets[cells.searchsorted(base + np.maximum(minor - 1, 0),
+                                        "left")]
+    stops = offsets[cells.searchsorted(base + np.minimum(minor + 1,
+                                                         width - 1), "right")]
     # only the output, the groups and one index per row outlive the sort
     del order, twin, first, key, new
     for members, lows, highs in zip(np.split(distinct, heads[1:]), starts,
                                     stops):
-        # gather at once, so only the candidate points outlive this line
-        cand = np.take(points, np.sort(np.concatenate(
-            [point_order[a:b] for a, b in zip(lows, highs)]), kind="stable"),
-            axis=0)
+        # the ranges are disjoint, so when they hold n points they hold
+        # every point, in index order; otherwise gather at once, so only
+        # the candidate points outlive this line
+        cand = points if (highs - lows).sum() == n else np.take(
+            points, np.sort(np.concatenate(
+                [point_order[a:b] for a, b in zip(lows, highs)])), axis=0)
         # rows are independent, so row blocks cannot change any value; the
         # numpy kernel keeps three floats per pair, a weight and a complex
         # scan slot, so a block's buffers hold 2 * BLOCK_FLOATS floats
@@ -353,9 +376,17 @@ def nearest_labels(points, modes):
     """Index of the closest mode per point; ties go to the lower index."""
     points = as_matrix(points)
     modes = as_matrix(modes)
+    m = modes.shape[0]
     labels = np.empty(points.shape[0], np.int64)
-    for block in row_blocks(points.shape[0], modes.shape[0]):
-        labels[block] = np.argmin(sq_dist_block(points[block], modes), axis=1)
+    # one pooled buffer holds a block's distances and its difference, so
+    # both fit in BLOCK_FLOATS; the nearest modes go straight to labels
+    pool = {}
+    for block in row_blocks(points.shape[0], 2 * m):
+        rows = points[block]
+        d2, diff = _scratch(pool, "labels", 2 * rows.shape[0] * m).reshape(
+            2, rows.shape[0], m)
+        np.argmin(sq_dist_block(rows, modes, d2, diff), axis=1,
+                  out=labels[block])
     return labels
 
 

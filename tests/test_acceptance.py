@@ -12,6 +12,7 @@ seeds are pinned, so a verdict never flips between runs on one machine.
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +124,24 @@ def test_criterion_5_batch_memory_bound_at_200k(verdict):
     verdict(5, ok, f"200K transient buffer {peak:,} bytes vs full-mask "
                    f"{full_mask:,} (need <= 1/5, ratio "
                    f"{peak / full_mask:.4f})")
+    assert ok
+
+
+def test_criterion_5_measured_peak_at_200k(verdict):
+    # criterion 5's nominal buffer, checked against what a run allocates:
+    # the traced peak from after the points exist, which holds the cell
+    # index, the walkers, the kernel scratch and the labels
+    points, _, _ = blob_protocol(200_000)
+    tracemalloc.start()
+    try:
+        result, _ = run_adaptive(points, TABLE_CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nominal = result.seeds_used * min(TABLE_CFG.chunk_size, points.n) * 8
+    ok = peak <= nominal
+    verdict(5, ok, f"200K measured peak {peak:,} bytes vs nominal transient "
+                   f"buffer {nominal:,} (need <=)")
     assert ok
 
 

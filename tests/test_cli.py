@@ -2,9 +2,9 @@
 
 Tests shell out through ``python -m fastshift.cli`` so argument parsing,
 exit codes, and output bytes are exercised exactly as a user sees them;
-the few that inject a fault call ``cli.main`` in-process. stderr is
-never asserted empty: the accelerator import may print environment
-warnings that are not ours to silence.
+the few that inject a fault or measure memory call ``cli.main``
+in-process. stderr is never asserted empty: the accelerator import may
+print environment warnings that are not ours to silence.
 """
 
 import json
@@ -13,12 +13,13 @@ import resource
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import cli_env, error_lines, run_cli
 
-from fastshift import kernels
+from fastshift import cli, kernels
 from fastshift.cli import BENCH_CSV_HEADER
 from fastshift.datagen import GenSpec, generate
 
@@ -198,8 +199,6 @@ def test_cluster_sample_cap_over_limit_exits_2(workspace):
 
 def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
     # stands in for `generate --n 1000000000000`, without allocating
-    from fastshift import cli
-
     for raised, message in ((MemoryError("Unable to allocate 14.6 TiB"),
                              "Unable to allocate 14.6 TiB"),
                             (MemoryError(), "out of memory")):
@@ -215,8 +214,6 @@ def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_internal_error_exits_3_with_one_line(workspace, monkeypatch, capsys):
-    from fastshift import cli
-
     def run_adaptive(points, cfg):
         raise TypeError("unsupported operand")
 
@@ -236,8 +233,6 @@ def test_internal_error_exits_3_with_one_line(workspace, monkeypatch, capsys):
 
 
 def test_threads_below_one_exits_2(workspace, capsys):
-    from fastshift import cli
-
     assert cli.main(["cluster", "--input", str(workspace["data"]),
                      "--threads", "0"]) == 2
     assert capsys.readouterr().err == (
@@ -404,8 +399,6 @@ def _blobs(d, offset=0.0):
 
 def _cluster(tmp_path, data, *extra):
     """Exit code of ``cluster`` on ``data`` and its result JSON, or None."""
-    from fastshift import cli
-
     out = tmp_path / "result.json"
     out.unlink(missing_ok=True)
     code = cli.main(["cluster", "--input", data, "--no-timing",
@@ -502,6 +495,67 @@ def test_failed_write_keeps_previous_output(tmp_path, workspace, command):
         assert path.read_text() == "previous\n"
     assert (sorted(p.name for p in tmp_path.iterdir())
             == sorted(p.name for p in earlier))
+
+
+CHUNK = cli._LABEL_CHUNK
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_streamed_result_is_the_json_dumps_bytes(tmp_path, capsys, n):
+    labels = np.random.default_rng(n).integers(0, 40, n)
+    labels[-1] = np.iinfo(np.int64).max
+    payload = {"method": "adaptive", "n_points": n, "modes": [[0.1, -2.5]],
+               "support": [n], "seeds_used": 128, "seeds_discarded": 0,
+               "iterations_run": 7, "distance_evals": 128 * n,
+               "wall_time_s": 0.0,
+               "config": {"backend": "numpy", "bandwidth_h": 0.3}}
+    want = json.dumps({**payload, "labels": labels.tolist()}, sort_keys=True,
+                      separators=(",", ":")) + "\n"
+    out = tmp_path / "result.json"
+    cli._write_text(str(out), cli._result_pieces(payload, labels))
+    assert out.read_text() == want
+    cli._write_text(None, cli._result_pieces(payload, labels))
+    assert capsys.readouterr().out == want
+
+
+def test_failing_stream_keeps_previous_output(tmp_path):
+    out = tmp_path / "result.json"
+    out.write_text("previous\n")
+
+    def pieces():
+        # more than a write buffer, so part of it reaches the disk first
+        yield "x" * 100_000
+        partial = [p for p in tmp_path.iterdir() if p != out]
+        assert len(partial) == 1 and partial[0].stat().st_size > 0
+        raise RuntimeError("labels unavailable")
+
+    with pytest.raises(RuntimeError):
+        cli._write_text(str(out), pieces())
+    assert out.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
+
+
+def test_cluster_200k_peak_stays_near_the_points(tmp_path):
+    # the run holds the points, O(n) indices and fixed-size scratch, and
+    # never the points and the whole result text together; the warm-up
+    # call makes the lazy one-time allocations of a first call
+    spec = GenSpec(kind="blobs", n_points=200_000, n_clusters=10,
+                   noise_sigma=0.1, rng_seed=42)
+    points, _, _ = generate(spec)
+    data = tmp_path / "blobs.csv"
+    np.savetxt(data, points.data, fmt="%.17g", delimiter=",")
+    small = tmp_path / "small.csv"
+    np.savetxt(small, points.data[:2000], fmt="%.17g", delimiter=",")
+    argv = ["cluster", "--method", "adaptive", "--bandwidth", "0.3",
+            "--no-timing", "--out", str(tmp_path / "result.json")]
+    assert cli.main([*argv, "--input", str(small)]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "--input", str(data)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * points.data.nbytes, peak / points.data.nbytes
 
 
 def test_out_through_symlink_updates_the_linked_file(tmp_path, workspace):

@@ -287,7 +287,8 @@ def test_batch_step_scratch_stays_two_blocks(restore_backend):
     pts[0] = 0.0
     rows = gen.uniform(0.0, 0.9, size=(2000, 2))
     index = kernels.cell_index(pts, 1.0)
-    assert index[4][0] == index[4][-1] == 0
+    # exactly one occupied cell, key 0, holding all 3,000 points
+    assert index[4].tolist() == [0] and index[5].tolist() == [0, 3000]
     tracemalloc.start()
     try:
         kernels.batch_step(rows, pts, 1.0, 4096, index)
@@ -295,6 +296,24 @@ def test_batch_step_scratch_stays_two_blocks(restore_backend):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * kernels.BLOCK_FLOATS * 8 + 64 * (2000 + 3000), peak
+
+
+def test_batch_step_without_grid_reads_points_in_place(restore_backend):
+    # points near 1e9 are beyond the grid's reach at h = 0.5, so every row
+    # shares one cell with all 200K points: the kernel reads them where
+    # they are, and the peak is its two scratch blocks, not a copy of them
+    kernels.set_backend("numpy")
+    gen = np.random.default_rng(11)
+    pts = 1e9 + gen.uniform(0.0, 100.0, size=(200_000, 2))
+    rows = pts[gen.choice(pts.shape[0], size=64, replace=False)]
+    assert kernels.cell_index(pts, 0.5) is None
+    tracemalloc.start()
+    try:
+        kernels.batch_step(rows, pts, 0.5, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6, peak
 
 
 def test_batch_step_grid_coordinate_limit_bitwise(backend):
