@@ -86,9 +86,9 @@ def _resolve_bandwidth(args, points: VectorSet) -> float:
     return h
 
 
-def _resolve_seeds(value: str | None, n: int, default: int) -> int:
+def _resolve_seeds(value: str | None, n: int) -> int:
     if value is None:
-        return default
+        return ShiftConfig.n_initial
     if value == "all":
         return n
     try:
@@ -152,11 +152,10 @@ def cmd_generate(args) -> int:
     csv = io.StringIO()
     np.savetxt(csv, points.data, fmt=_FLOAT_FMT, delimiter=",")
     _write_text(args.out, [csv.getvalue()])
-    truth = {**dataclasses.asdict(spec), "labels": labels.tolist(),
+    truth = {**dataclasses.asdict(spec),
              "centers": None if centers is None else centers.tolist()}
     _write_text(str(Path(args.out).with_suffix(".truth.json")),
-                [json.dumps(truth, sort_keys=True, separators=(",", ":"))
-                 + "\n"])
+                _result_pieces(truth, labels))
     return 0
 
 
@@ -169,7 +168,7 @@ def cmd_cluster(args) -> int:
         conv_tol=args.tol,
         max_iter=args.max_iter,
         early_stop_gamma=args.gamma,
-        n_initial=_resolve_seeds(args.seeds, points.n, 128),
+        n_initial=_resolve_seeds(args.seeds, points.n),
         rng_seed=args.seed,
         min_mode_support=args.min_support,
         chunk_size=args.chunk_size,
@@ -202,7 +201,8 @@ def cmd_cluster(args) -> int:
 
 
 def _result_pieces(payload: dict, labels: np.ndarray):
-    """Text pieces of ``payload`` with ``labels`` as its ``"labels"`` list.
+    """Text pieces of ``payload`` with ``labels`` as its ``"labels"`` list,
+    for the result JSON and the ``.truth.json`` sidecar alike.
 
     They join to the ``json.dumps(..., sort_keys=True, separators=(",",
     ":"))`` of the whole payload plus a newline, but the labels are
@@ -235,16 +235,9 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"bad --sizes list {args.sizes!r}") from exc
     if not sizes:
         raise ConfigError("--sizes must name at least one size")
-    methods = []
-    for m in args.methods.split(","):
-        m = m.strip()
-        if not m:
-            continue
-        m = "faster_adaptive" if m == "adaptive" else m
-        if m not in BENCH_METHODS:
-            raise ConfigError(f"unknown method {m!r}, "
-                              f"expected one of {BENCH_METHODS}")
-        methods.append(m)
+    # bench_run rejects a method outside BENCH_METHODS
+    methods = ["faster_adaptive" if m == "adaptive" else m
+               for m in map(str.strip, args.methods.split(",")) if m]
     if not methods:
         raise ConfigError("--methods must name at least one method")
 
@@ -295,18 +288,21 @@ def _add_common_cluster_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sample-cap", type=int, default=500,
                    help="max points sampled by the bandwidth estimator, "
                         f"at most {MAX_SAMPLE_CAP} (its time is quadratic)")
-    p.add_argument("--tol", type=float, default=1e-3,
+    p.add_argument("--tol", type=float, default=ShiftConfig.conv_tol,
                    help="convergence tolerance as a fraction of h")
-    p.add_argument("--max-iter", type=int, default=300)
-    p.add_argument("--gamma", type=float, default=0.95,
+    p.add_argument("--max-iter", type=int, default=ShiftConfig.max_iter)
+    p.add_argument("--gamma", type=float,
+                   default=ShiftConfig.early_stop_gamma,
                    help="converged fraction that stops the seed batch")
-    p.add_argument("--min-support", type=int, default=1,
+    p.add_argument("--min-support", type=int,
+                   default=ShiftConfig.min_mode_support,
                    help="drop modes with accumulated support below this")
-    p.add_argument("--chunk-size", type=int, default=4096,
+    p.add_argument("--chunk-size", type=int, default=ShiftConfig.chunk_size,
                    help="points per window-step chunk")
     p.add_argument("--threads", type=int, default=None,
                    help="worker thread cap (default: all)")
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    p.add_argument("--seed", type=int, default=ShiftConfig.rng_seed,
+                   help="master RNG seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,10 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write a synthetic dataset CSV")
     g.add_argument("--kind", choices=KINDS, default="blobs")
     g.add_argument("--n", type=int, required=True, help="number of points")
-    g.add_argument("--clusters", type=int, default=10)
-    g.add_argument("--sigma", type=float, default=0.1)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--box", type=float, default=10.0,
+    g.add_argument("--clusters", type=int, default=GenSpec.n_clusters)
+    g.add_argument("--sigma", type=float, default=GenSpec.noise_sigma)
+    g.add_argument("--seed", type=int, default=GenSpec.rng_seed)
+    g.add_argument("--box", type=float, default=GenSpec.box_extent,
                    help="half-width of the center placement box")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
@@ -348,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated subset of {BENCH_METHODS}")
     b.add_argument("--repeats", type=int, default=3)
     b.add_argument("--kind", choices=KINDS, default="blobs")
-    b.add_argument("--clusters", type=int, default=10)
-    b.add_argument("--sigma", type=float, default=0.1)
+    b.add_argument("--clusters", type=int, default=GenSpec.n_clusters)
+    b.add_argument("--sigma", type=float, default=GenSpec.noise_sigma)
     b.add_argument("--bandwidth", type=float, default=None,
                    help="window radius h (default: 3 * sigma)")
-    b.add_argument("--chunk-size", type=int, default=4096)
+    b.add_argument("--chunk-size", type=int, default=ShiftConfig.chunk_size)
     b.add_argument("--threads", type=int, default=None)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=int, default=ShiftConfig.rng_seed)
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_bench)
 

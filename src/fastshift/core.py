@@ -25,6 +25,12 @@ class NoConvergedSeedsError(RuntimeError):
     """Raised when a seeded run terminates with zero converged seeds."""
 
 
+def check_seed(seed: int) -> None:
+    """The one RNG seed rule: ``rng_seed`` must fit in 64 unsigned bits."""
+    if not (0 <= seed < 2 ** 64):
+        raise ConfigError(f"rng_seed must fit in 64 unsigned bits, got {seed}")
+
+
 @dataclass(frozen=True)
 class VectorSet:
     """An n-by-d matrix of finite real feature vectors."""
@@ -95,9 +101,7 @@ class ShiftConfig:
         if not (1 <= self.seed_low_L < self.seed_high_H):
             raise ConfigError(f"need 1 <= seed_low_L < seed_high_H, "
                               f"got L={self.seed_low_L} H={self.seed_high_H}")
-        if not (0 <= self.rng_seed < 2 ** 64):
-            raise ConfigError(f"rng_seed must fit in 64 unsigned bits, "
-                              f"got {self.rng_seed}")
+        check_seed(self.rng_seed)
         if self.min_mode_support < 0:
             raise ConfigError(f"min_mode_support must be >= 0, "
                               f"got {self.min_mode_support}")
@@ -179,7 +183,7 @@ def lockstep(start, points: VectorSet, cfg: ShiftConfig, stop_fraction: float,
                                       cfg.chunk_size, index)
         evals += idx.size * points.n
         sweeps += 1
-        converged[idx] = kernels.row_sq_dist(moved, rows) <= thresh2
+        converged[idx] = kernels.sq_dist(moved, rows) <= thresh2
         positions[idx] = moved
     return positions, converged, sweeps, evals
 
@@ -192,9 +196,8 @@ def kde_value(x, points: VectorSet, h: float) -> float:
     """
     if h <= 0:
         raise ConfigError(f"bandwidth must be positive, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    d2 = kernels.row_sq_dist(points.data, np.broadcast_to(x, points.data.shape))
-    profile = np.maximum(0.0, 1.0 - d2 / (h * h))
+    x = np.asarray(x, dtype=np.float64).reshape(points.d)
+    profile = np.maximum(0.0, 1.0 - kernels.sq_dist(points.data, x) / (h * h))
     return float(profile.sum() / (points.n * h ** points.d))
 
 
@@ -224,6 +227,7 @@ def estimate_bandwidth(points: VectorSet, quantile: float = 0.3,
     if not (2 <= sample_cap <= MAX_SAMPLE_CAP):
         raise ConfigError(f"sample_cap must be in [2, {MAX_SAMPLE_CAP}], "
                           f"got {sample_cap}")
+    check_seed(rng_seed)
     s = min(sample_cap, points.n)
     sample = points.data[np.random.default_rng(rng_seed).choice(
         points.n, size=s, replace=False)]
@@ -232,7 +236,7 @@ def estimate_bandwidth(points: VectorSet, quantile: float = 0.3,
     # a row is the same value however it is found
     kth = np.empty(s)
     for block in kernels.row_blocks(s, s):
-        d2 = kernels.sq_dist_block(sample[block], sample)
+        d2 = kernels.sq_dist(sample[block, None], sample)
         kth[block] = np.partition(d2, k_nn, axis=1)[:, k_nn]
     # summing in sorted order makes the estimate independent of row order
     return float(np.cumsum(np.sort(np.sqrt(kth)))[-1] / s)

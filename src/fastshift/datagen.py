@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .core import VectorSet
+from .core import VectorSet, check_seed
 
 # per-cluster sigma multipliers for the mixed-variance layout
 VARIED_MULTIPLIERS = (1.0, 2.5, 0.5)
@@ -46,6 +46,7 @@ class GenSpec:
         if not (np.isfinite(2.0 * self.box_extent) and self.box_extent > 0):
             raise ValueError(f"box_extent must be > 0 with a finite span "
                              f"2 * box_extent, got {self.box_extent}")
+        check_seed(self.rng_seed)
 
 
 def _place_centers(rng: np.random.Generator, k: int, box_extent: float,
@@ -57,7 +58,7 @@ def _place_centers(rng: np.random.Generator, k: int, box_extent: float,
         # near the float limit a squared distance overflows to +inf, which
         # correctly reads as far enough
         with np.errstate(over="ignore"):
-            d2 = kernels.sq_dist_block(centers[:placed], cand)
+            d2 = kernels.sq_dist(centers[:placed], cand)
         if (np.sqrt(d2) < min_sep).any():
             continue
         centers[placed] = cand

@@ -1,5 +1,8 @@
 """Hot numeric kernels; only the window step has two backends.
 
+:func:`sq_dist` is every module's one numpy squared distance, and its
+docstring the one statement of the coordinate fold order.
+
 The window step (seed-vs-point window reductions) runs one block loop on
 both backends, and only its inner kernel exists twice: a numba ``@njit``
 loop and a pure numpy fallback. :data:`BACKENDS`, the backends this
@@ -103,27 +106,26 @@ def row_blocks(n_rows, cols):
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
-def sq_dist_block(a, b, out=None, diff=None):
-    """Squared distance from every row of ``a`` to every row of ``b``.
+def sq_dist(a, b, out=None, diff=None):
+    """Squared Euclidean distance along the last axis of ``a`` and ``b``.
 
-    Returns the (rows of a) by (rows of b) matrix. Each entry folds its
-    coordinates in ascending order into a zero start, the order the numba
-    loops use, so both backends compare the same bits against a radius.
-    The first coordinate's square is stored as is, which is the same as
-    adding it to zero. One difference buffer is reused across coordinates;
-    ``out`` and ``diff``, when given, are matrix-shaped buffers for the
-    result and that difference.
+    The leading axes broadcast: ``sq_dist(a[:, None], b)`` is the (rows of
+    a) by (rows of b) matrix, ``sq_dist(a, b)`` pairs row i with row i,
+    and ``sq_dist(a, p)`` measures every row of ``a`` from one point
+    ``p``. At least one argument must have a leading axis. This is the
+    one numpy distance fold: each entry folds its coordinates in ascending
+    order into a zero start, the order the numba loop uses, so both
+    backends compare the same bits against a radius. The first
+    coordinate's square is stored as is, which is the same as adding it to
+    zero, and each later square is added through one difference buffer
+    reused across coordinates. ``out`` and ``diff``, when given, are
+    buffers of the broadcast shape for the result and that difference.
     """
-    shape = (a.shape[0], b.shape[0])
-    d2 = np.empty(shape) if out is None else out
-    diff = np.empty(shape) if diff is None else diff
-    for k in range(a.shape[1]):
-        np.subtract(a[:, k][:, None], b[:, k][None, :], out=diff)
-        if k == 0:
-            np.multiply(diff, diff, out=d2)
-        else:
-            np.multiply(diff, diff, out=diff)
-            d2 += diff
+    diff = np.subtract(a[..., 0], b[..., 0], out=diff)
+    d2 = np.multiply(diff, diff, out=out)
+    for k in range(1, a.shape[-1]):
+        np.subtract(a[..., k], b[..., k], out=diff)
+        d2 += np.multiply(diff, diff, out=diff)
     return d2
 
 
@@ -202,7 +204,7 @@ def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
         split = 2 * m * (c + 1)
         buf = step[:split].view(np.complex128).reshape(m, c + 1)
         w = step[split:].reshape(m, c)
-        sq_dist_block(rows, blk, out=w, diff=step[:m * c].reshape(m, c))
+        sq_dist(rows[:, None], blk, out=w, diff=step[:m * c].reshape(m, c))
         # the 0/1 window weights overwrite the distances they come from
         np.less_equal(w, h2, out=w)
         counts += w.sum(axis=1).astype(np.int64)
@@ -385,7 +387,7 @@ def nearest_labels(points, modes):
         rows = points[block]
         d2, diff = _scratch(pool, "labels", 2 * rows.shape[0] * m).reshape(
             2, rows.shape[0], m)
-        np.argmin(sq_dist_block(rows, modes, d2, diff), axis=1,
+        np.argmin(sq_dist(rows[:, None], modes, d2, diff), axis=1,
                   out=labels[block])
     return labels
 
@@ -418,7 +420,7 @@ def greedy_prune(cands, supports, h):
     while i < r:
         owner[i] = len(accepted)
         accepted.append(i)
-        d2 = sq_dist_block(cands[i + 1:], cands[i:i + 1])[:, 0]
+        d2 = sq_dist(cands[i + 1:], cands[i])
         closer = d2 < nearest[i + 1:]
         np.copyto(nearest[i + 1:], d2, where=closer)
         np.copyto(owner[i + 1:], owner[i], where=closer)
@@ -428,14 +430,3 @@ def greedy_prune(cands, supports, h):
     acc_support = np.zeros(len(accepted), np.int64)
     np.add.at(acc_support, owner, supports)
     return np.asarray(accepted, dtype=np.int64), acc_support
-
-
-def row_sq_dist(a, b):
-    """Per-row squared distance between two equally shaped matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    d2 = np.zeros(a.shape[0])
-    for k in range(a.shape[1]):
-        diff = a[:, k] - b[:, k]
-        d2 += diff * diff
-    return d2

@@ -164,7 +164,7 @@ def follow_point(x0, points: VectorSet, cfg: ShiftConfig) -> PointTrajectory:
     while iterations < cfg.max_iter:
         new_pos, _ = shift_once(pos, points, cfg.bandwidth_h, cfg.chunk_size)
         iterations += 1
-        shift2 = kernels.row_sq_dist(new_pos.reshape(1, -1), pos.reshape(1, -1))[0]
+        shift2 = kernels.sq_dist(new_pos[None], pos[None])[0]
         pos = new_pos
         if shift2 <= thresh2:
             converged = True
@@ -191,5 +191,5 @@ def window_mask(center, points: VectorSet, h: float) -> np.ndarray:
     if h <= 0:
         raise ConfigError(f"bandwidth must be positive, got {h}")
     center = np.asarray(center, dtype=np.float64)
-    d2 = kernels.row_sq_dist(points.data, np.broadcast_to(center, points.data.shape))
+    d2 = kernels.sq_dist(points.data, center)
     return d2 <= h * h

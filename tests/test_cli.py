@@ -7,8 +7,11 @@ in-process. stderr is never asserted empty: the accelerator import may
 print environment warnings that are not ours to silence.
 """
 
+import dataclasses
+import hashlib
 import json
 import os
+import re
 import resource
 import stat
 import subprocess
@@ -518,6 +521,20 @@ def test_streamed_result_is_the_json_dumps_bytes(tmp_path, capsys, n):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_truth_sidecar_is_the_json_dumps_bytes(tmp_path, n):
+    out = tmp_path / "g.csv"
+    k = min(n, 3)
+    assert cli.main(["generate", "--n", str(n), "--clusters", str(k),
+                     "--seed", "5", "--out", str(out)]) == 0
+    spec = GenSpec(kind="blobs", n_points=n, n_clusters=k, rng_seed=5)
+    _, labels, centers = generate(spec)
+    want = json.dumps({**dataclasses.asdict(spec), "labels": labels.tolist(),
+                       "centers": centers.tolist()}, sort_keys=True,
+                      separators=(",", ":")) + "\n"
+    assert out.with_suffix(".truth.json").read_text() == want
+
+
 def test_failing_stream_keeps_previous_output(tmp_path):
     out = tmp_path / "result.json"
     out.write_text("previous\n")
@@ -596,3 +613,52 @@ def test_help_exits_0():
 def test_no_command_exits_2():
     res = run_cli()
     assert res.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# one seed rule, and pinned result bytes
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("command", [
+    ("generate", "--n", "100", "--out", "{tmp}/g.csv"),
+    ("cluster", "--input", "{data}"),
+    ("cluster", "--input", "{data}", "--bandwidth", "0.3"),
+    ("bench", "--sizes", "100", "--out", "{tmp}/b.csv"),
+], ids=["generate", "cluster-estimated", "cluster", "bench"])
+def test_every_command_has_one_seed_rule(tmp_path, workspace, capsys,
+                                         command, seed):
+    argv = [a.format(tmp=tmp_path, data=workspace["data"]) for a in command]
+    assert cli.main([*argv, "--seed", str(seed)]) == 2
+    assert error_lines(capsys.readouterr().err) == [
+        f"error: rng_seed must fit in 64 unsigned bits, got {seed}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def pinned_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("pinned") / "blobs.csv"
+    assert cli.main(["generate", "--n", "600", "--clusters", "4",
+                     "--seed", "11", "--out", str(data)]) == 0
+    return data
+
+
+# sha256 of the ``cluster --no-timing`` bytes with the backend's name left
+# out: a changed bit in any distance, window mean, mode or label shows
+@pytest.mark.parametrize("method,extra,digest", [
+    ("baseline", ("--bandwidth", "0.3"),
+     "615e64599d095c0375361f43866d6fa9919e757abd7946a35226c98101f202db"),
+    ("faster", ("--bandwidth", "0.3"),
+     "4e139d083a41ed07b0feab67d8ef2a68e1785ddc14837d96c3c0c47b931cd54b"),
+    ("adaptive", ("--bandwidth", "0.3"),
+     "fa100ddc9f546304263b930ecf8da1c9c3cc4f49f54ff11b543615f4678944c7"),
+    ("adaptive", (),
+     "d9a390db942706fcb1fe05746799af1c1503ba9b80588a4db880a780639a7d84"),
+], ids=["baseline", "faster", "adaptive", "adaptive-estimated"])
+def test_cluster_bytes_are_pinned(pinned_data, tmp_path, method, extra,
+                                  digest):
+    out = tmp_path / "result.json"
+    assert cli.main(["cluster", "--input", str(pinned_data), "--method",
+                     method, "--no-timing", "--out", str(out), *extra]) == 0
+    raw = re.sub(rb'"backend":"\w+",', b"", out.read_bytes())
+    assert hashlib.sha256(raw).hexdigest() == digest

@@ -524,13 +524,46 @@ def test_backend_selection_validation(restore_backend):
     assert kernels.active_backend() == "numpy"
 
 
-def test_row_sq_dist_matches_scalar():
+def _scalar_sq_dist(u, v):
+    """The numba loop's fold: ascending coordinates into a zero start."""
+    d2 = 0.0
+    for x, y in zip(u.tolist(), v.tolist()):
+        d2 += (x - y) * (x - y)
+    return d2
+
+
+def test_sq_dist_rows_match_scalar():
     a = rng.normal(size=(20, 4))
     b = rng.normal(size=(20, 4))
-    got = kernels.row_sq_dist(a, b)
+    got = kernels.sq_dist(a, b)
     for i in range(20):
-        d2 = 0.0
-        for k in range(4):
-            diff = a[i, k] - b[i, k]
-            d2 += diff * diff
-        assert got[i] == d2
+        assert got[i] == _scalar_sq_dist(a[i], b[i])
+
+
+# -0.0 against 0.0, and squares that overflow to inf, next to plain values
+COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1e200, -1e200]),
+                   st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_sq_dist_is_the_scalar_fold_bitwise(data):
+    d = data.draw(st.sampled_from([1, 2, 3, 8]), label="d")
+    m = data.draw(st.integers(1, 6), label="m")
+    c = data.draw(st.integers(1, 5), label="c")
+    a, b = (np.array(data.draw(st.lists(COORDS, min_size=r * d,
+                                        max_size=r * d))).reshape(r, d)
+            for r in (m, c))
+    k = min(m, c)
+    if data.draw(st.booleans(), label="equal rows"):
+        b[:k] = a[:k]
+    want = np.array([[_scalar_sq_dist(u, v) for v in b] for u in a])
+    with np.errstate(over="ignore"):
+        block = kernels.sq_dist(a[:, None], b)
+        pooled = kernels.sq_dist(a[:, None], b, out=np.empty((m, c)),
+                                 diff=np.empty((m, c)))
+        rows = kernels.sq_dist(a[:k], b[:k])
+        point = kernels.sq_dist(a, b[0])
+    assert block.tobytes() == pooled.tobytes() == want.tobytes()
+    assert rows.tobytes() == want.diagonal().tobytes()
+    assert point.tobytes() == want[:, 0].tobytes()
