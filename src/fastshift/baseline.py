@@ -22,7 +22,8 @@ from .core import (
 )
 
 
-def shift_once(x, points: VectorSet, h: float, chunk_size: int = 4096):
+def shift_once(x, points: VectorSet, h: float,
+               chunk_size: int = ShiftConfig.chunk_size):
     """One window-mean update: ``(new_position, window_count)``.
 
     The new position is the arithmetic mean of every point within ``h`` of

@@ -31,9 +31,9 @@ from .baseline import run_baseline
 from .controller import run_adaptive
 from .core import (
     MAX_SAMPLE_CAP,
+    QUANTILE,
+    SAMPLE_CAP,
     ConfigError,
-    NoConvergedSeedsError,
-    NoModesError,
     ShiftConfig,
     VectorSet,
     estimate_bandwidth,
@@ -73,14 +73,13 @@ def _apply_threads(args) -> None:
 
 
 def _resolve_bandwidth(args, points: VectorSet) -> float:
+    # ShiftConfig owns the bandwidth rule; only a zero estimate needs a
+    # message of its own
     if args.bandwidth is not None:
-        if not (np.isfinite(args.bandwidth) and args.bandwidth > 0):
-            raise ConfigError(f"bandwidth must be positive and finite, "
-                              f"got {args.bandwidth}")
-        return float(args.bandwidth)
+        return args.bandwidth
     h = estimate_bandwidth(points, quantile=args.quantile,
                            sample_cap=args.sample_cap, rng_seed=args.seed)
-    if h <= 0:
+    if h == 0.0:
         raise ConfigError("estimated bandwidth is 0 (all points identical); "
                           "pass --bandwidth explicitly")
     return h
@@ -92,13 +91,10 @@ def _resolve_seeds(value: str | None, n: int) -> int:
     if value == "all":
         return n
     try:
-        count = int(value)
+        return int(value)
     except ValueError as exc:
         raise ConfigError(f"--seeds must be an integer or 'all', "
                           f"got {value!r}") from exc
-    if count < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {count}")
-    return count
 
 
 def _write_text(path: str | None, pieces) -> None:
@@ -171,7 +167,6 @@ def cmd_cluster(args) -> int:
         n_initial=_resolve_seeds(args.seeds, points.n),
         rng_seed=args.seed,
         min_mode_support=args.min_support,
-        chunk_size=args.chunk_size,
     )
     if args.method == "baseline":
         result = run_baseline(points, cfg)
@@ -244,10 +239,7 @@ def cmd_bench(args) -> int:
     # default bandwidth pins the generation-protocol scale (3 * sigma)
     # rather than re-estimating per size, so rows are comparable
     h = args.bandwidth if args.bandwidth is not None else 3.0 * args.sigma
-    if h <= 0:
-        raise ConfigError(f"bandwidth must be positive, got {h}")
-    cfg = ShiftConfig(bandwidth_h=h, rng_seed=args.seed,
-                      chunk_size=args.chunk_size)
+    cfg = ShiftConfig(bandwidth_h=h, rng_seed=args.seed)
     series = [GenSpec(kind=args.kind, n_points=n, n_clusters=args.clusters,
                       noise_sigma=args.sigma, rng_seed=args.seed)
               for n in sizes]
@@ -283,9 +275,9 @@ def cmd_compare(args) -> int:
 def _add_common_cluster_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bandwidth", type=float, default=None,
                    help="window radius h; omit to estimate from the data")
-    p.add_argument("--quantile", type=float, default=0.3,
+    p.add_argument("--quantile", type=float, default=QUANTILE,
                    help="neighbor quantile for bandwidth estimation")
-    p.add_argument("--sample-cap", type=int, default=500,
+    p.add_argument("--sample-cap", type=int, default=SAMPLE_CAP,
                    help="max points sampled by the bandwidth estimator, "
                         f"at most {MAX_SAMPLE_CAP} (its time is quadratic)")
     p.add_argument("--tol", type=float, default=ShiftConfig.conv_tol,
@@ -297,8 +289,6 @@ def _add_common_cluster_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-support", type=int,
                    default=ShiftConfig.min_mode_support,
                    help="drop modes with accumulated support below this")
-    p.add_argument("--chunk-size", type=int, default=ShiftConfig.chunk_size,
-                   help="points per window-step chunk")
     p.add_argument("--threads", type=int, default=None,
                    help="worker thread cap (default: all)")
     p.add_argument("--seed", type=int, default=ShiftConfig.rng_seed,
@@ -348,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sigma", type=float, default=GenSpec.noise_sigma)
     b.add_argument("--bandwidth", type=float, default=None,
                    help="window radius h (default: 3 * sigma)")
-    b.add_argument("--chunk-size", type=int, default=ShiftConfig.chunk_size)
     b.add_argument("--threads", type=int, default=None)
     b.add_argument("--seed", type=int, default=ShiftConfig.rng_seed)
     b.add_argument("--out", required=True)
@@ -366,7 +355,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NoModesError, NoConvergedSeedsError, MemoryError) as exc:
+    except MemoryError as exc:
         _fail(str(exc) or "out of memory")
         return 3
     except ValueError as exc:  # includes ConfigError
@@ -375,7 +364,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         _fail(str(exc))
         return 1
-    except RuntimeError as exc:  # e.g. center placement exhausted
+    except RuntimeError as exc:  # no modes, no converged seeds, no centers
         _fail(str(exc))
         return 3
     except Exception as exc:  # noqa: BLE001 - one line, never a traceback

@@ -31,6 +31,13 @@ def check_seed(seed: int) -> None:
         raise ConfigError(f"rng_seed must fit in 64 unsigned bits, got {seed}")
 
 
+def check_bandwidth(h: float) -> None:
+    """The one bandwidth rule: ``h`` must be a positive finite real."""
+    if not (np.isfinite(h) and h > 0):
+        raise ConfigError(f"bandwidth_h must be a positive finite real, "
+                          f"got {h}")
+
+
 @dataclass(frozen=True)
 class VectorSet:
     """An n-by-d matrix of finite real feature vectors."""
@@ -76,9 +83,7 @@ class ShiftConfig:
     chunk_size: int = 4096
 
     def __post_init__(self):
-        if not (np.isfinite(self.bandwidth_h) and self.bandwidth_h > 0):
-            raise ConfigError(f"bandwidth_h must be a positive finite real, "
-                              f"got {self.bandwidth_h}")
+        check_bandwidth(self.bandwidth_h)
         if not (np.isfinite(self.conv_tol) and self.conv_tol > 0):
             raise ConfigError(f"conv_tol must be positive, got {self.conv_tol}")
         # lockstep compares squared moves against this square; a Python
@@ -194,8 +199,7 @@ def kde_value(x, points: VectorSet, h: float) -> float:
     Value is ``(1 / (n h^d)) * sum_i max(0, 1 - ||x - p_i||^2 / h^2)``.
     Used for convergence diagnostics and tests, not in the hot path.
     """
-    if h <= 0:
-        raise ConfigError(f"bandwidth must be positive, got {h}")
+    check_bandwidth(h)
     x = np.asarray(x, dtype=np.float64).reshape(points.d)
     profile = np.maximum(0.0, 1.0 - kernels.sq_dist(points.data, x) / (h * h))
     return float(profile.sum() / (points.n * h ** points.d))
@@ -204,10 +208,14 @@ def kde_value(x, points: VectorSet, h: float) -> float:
 # the bandwidth estimate takes time quadratic in its sample: 20,000 points
 # take about 5 s on one CPU, so larger caps are rejected, not left to run
 MAX_SAMPLE_CAP = 20_000
+# estimate_bandwidth's defaults, which the CLI's flags read too
+QUANTILE = 0.3
+SAMPLE_CAP = 500
 
 
-def estimate_bandwidth(points: VectorSet, quantile: float = 0.3,
-                       sample_cap: int = 500, rng_seed: int = 0) -> float:
+def estimate_bandwidth(points: VectorSet, quantile: float = QUANTILE,
+                       sample_cap: int = SAMPLE_CAP,
+                       rng_seed: int = 0) -> float:
     """Quantile k-nearest-neighbour bandwidth heuristic.
 
     Draws ``min(n, sample_cap)`` points without replacement, takes each
@@ -259,8 +267,7 @@ def prune_modes(raw_modes, supports, h: float, min_mode_support: int = 1) -> Mod
         raise ValueError("raw_modes must be nonempty")
     if cands.shape[0] != supports.shape[0]:
         raise ValueError("raw_modes and supports lengths differ")
-    if h <= 0:
-        raise ConfigError(f"merge radius must be positive, got {h}")
+    check_bandwidth(h)
 
     order = _support_lex_order(cands, supports)
     idx, merged = kernels.greedy_prune(cands[order], supports[order], h)

@@ -13,15 +13,12 @@ and greedy mode pruning are numpy on both backends: each costs
 milliseconds next to the window sweeps on the benchmark workloads, and a
 numba twin would be code that cannot be measured where numba is missing.
 
-Both inner kernels implement the *same* reduction semantics: per row,
-points are folded in ascending index order into a running sum, counts are
-exact integers, and a single division produces the mean. The numpy kernel
-folds two coordinates per strict sequential scan (``np.add.accumulate``
-over complex slots, whose addition is two independent double additions)
-and preserves the fold order across chunk boundaries by carrying the
-accumulator into the scan, so results are bit-identical for any
-``chunk_size`` and for any thread count, and match the numba loop bit for
-bit.
+The window fold, stated here once for both inner kernels: per row, the
+in-window points are added in ascending index order into one running sum
+per coordinate that starts at +0.0, the count is an exact integer, and
+one division by it makes the mean. Chunks continue that one fold and
+threads split only rows, so the bytes are the same for any
+``chunk_size``, any thread count and either backend.
 
 The window step tests each row only against the points of the cells
 around it, found through the :func:`cell_index` that ``core.lockstep``
@@ -180,15 +177,15 @@ def _scratch(pool, key, size):
 def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
     """Window step of ``rows`` over ``points`` in chunks of ``chunk_size``.
 
-    One sequential scan folds two coordinates: a complex slot holds
-    coordinate 2p in its real part and 2p + 1 in its imaginary part, zero
-    for an odd d's last slot. Complex addition is two independent double
-    additions, so each part is the ascending-index fold of the numba loop.
-    Every point is added with a 0/1 weight, so an out-of-window point adds
-    +-0.0. That changes no bits: a sum is -0.0 only when both terms are,
-    so the running sum, which starts at +0.0, is never -0.0, and adding a
-    zero of either sign leaves it as it is. Counts are sums of 0/1 floats,
-    hence exact.
+    The module's window fold, two coordinates per sequential scan: a
+    complex slot holds coordinate 2p in its real part and 2p + 1 in its
+    imaginary part, zero for an odd d's last slot, and complex addition is
+    two independent double additions. Each chunk's scan starts from the
+    running sum. Every point is added with a 0/1 weight, so an
+    out-of-window point adds +-0.0. That changes no bits: a sum is -0.0
+    only when both terms are, so the running sum is never -0.0, and adding
+    a zero of either sign leaves it as it is. Counts are sums of 0/1
+    floats, hence exact.
     """
     m, d = rows.shape
     n = points.shape[0]
@@ -208,8 +205,6 @@ def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
         # the 0/1 window weights overwrite the distances they come from
         np.less_equal(w, h2, out=w)
         counts += w.sum(axis=1).astype(np.int64)
-        # carry the running sum through a sequential scan so the fold order
-        # over points is independent of where chunk boundaries fall
         for p in range(acc.shape[1]):
             buf[:, 0] = acc[:, p]
             np.multiply(w, blk[:, 2 * p], out=buf.real[:, 1:])

@@ -384,6 +384,56 @@ def test_bench_unknown_method_exits_2(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# error exits: one error line each, no traceback and no output file
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (("cluster", "--input", "{data}", "--bandwidth", "0.3", "--seeds", "x"),
+     2, "--seeds must be an integer or 'all', got 'x'"),
+    (("cluster", "--input", "{data}", "--bandwidth", "0.3", "--seeds", "0"),
+     2, "n_initial must be >= 1, got 0"),
+    (("bench", "--sizes", "10,x"), 2, "bad --sizes list '10,x'"),
+    (("bench", "--sizes", "10", "--methods", " , "),
+     2, "--methods must name at least one method"),
+    (("bench", "--sizes", "10", "--sigma", "0"),
+     2, "bandwidth_h must be a positive finite real, got 0.0"),
+    (("bench", "--sizes", "10", "--repeats", "0"),
+     2, "repeats must be >= 1, got 0"),
+    (("compare", "--a", "{tmp}/two.json", "--b", "{tmp}/one.json"),
+     2, "label lengths differ: 2 vs 1"),
+    (("generate", "--n", "100", "--clusters", "50", "--sigma", "1",
+      "--box", "1"), 3, "cannot place separated centers"),
+], ids=["cluster-seeds-word", "cluster-seeds-zero", "bench-sizes",
+        "bench-methods", "bench-sigma-zero", "bench-repeats-zero",
+        "compare-lengths", "generate-crowded"])
+def test_error_exit_is_one_line(tmp_path, workspace, argv, code, message):
+    inputs = {"two.json": '{"labels": [0, 1]}\n',
+              "one.json": '{"labels": [0]}\n'}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.format(tmp=tmp_path, data=workspace["data"]) for a in argv]
+    if argv[0] != "compare":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    res = run_cli(*argv)
+    assert res.returncode == code, res.stderr
+    assert error_lines(res.stderr) == [f"error: {message}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+
+
+@pytest.mark.parametrize("command", [
+    ("cluster", "--input", "{data}", "--bandwidth", "0.3"),
+    ("bench", "--sizes", "10", "--out", "{tmp}/b.csv"),
+], ids=["cluster", "bench"])
+def test_chunk_size_is_not_a_flag(tmp_path, workspace, command):
+    # the window step's chunk size is ShiftConfig's: it changes no byte
+    argv = [a.format(tmp=tmp_path, data=workspace["data"]) for a in command]
+    res = run_cli(*argv, "--chunk-size", "8")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --chunk-size 8" in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
 # degenerate input and d != 2, in-process on CSVs written here
 
 

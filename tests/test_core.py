@@ -1,5 +1,6 @@
 """Domain types and shared primitives."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,20 @@ def test_config_accepts_largest_finite_threshold():
     with pytest.raises(ConfigError, match="finite square"):
         ShiftConfig(bandwidth_h=float(np.nextafter(top, np.inf)),
                     conv_tol=1.0)
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda h: ShiftConfig(bandwidth_h=h),
+    lambda h: prune_modes(np.array([[0.0, 0.0], [5.0, 5.0]]), [1, 1], h),
+    lambda h: kde_value((0.0, 0.0), VectorSet(np.eye(2)), h),
+], ids=["ShiftConfig", "prune_modes", "kde_value"])
+def test_one_bandwidth_rule(call, h):
+    # a NaN radius used to keep every candidate as its own mode and an
+    # infinite one to merge them all; the density read nan and 0.0
+    with pytest.raises(ConfigError, match=re.escape(
+            f"bandwidth_h must be a positive finite real, got {h}")):
+        call(h)
 
 
 # ------------------------------------- reference helpers from conftest.py
