@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import io
 import json
 import os
 import secrets
@@ -46,8 +45,8 @@ BENCH_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(BenchRecord))
 
 _FLOAT_FMT = "%.17g"
 
-# labels per text piece of a streamed result
-_LABEL_CHUNK = 4096
+# points (CSV rows or labels) per text piece of a streamed output
+_PIECE_POINTS = 4096
 
 
 def _fail(msg: str) -> None:
@@ -80,8 +79,9 @@ def _resolve_bandwidth(args, points: VectorSet) -> float:
     h = estimate_bandwidth(points, quantile=args.quantile,
                            sample_cap=args.sample_cap, rng_seed=args.seed)
     if h == 0.0:
-        raise ConfigError("estimated bandwidth is 0 (all points identical); "
-                          "pass --bandwidth explicitly")
+        raise ConfigError("estimated bandwidth is 0: each sampled point's "
+                          "quantile neighbour coincides with it; pass "
+                          "--bandwidth or a larger --quantile")
     return h
 
 
@@ -145,9 +145,7 @@ def cmd_generate(args) -> int:
                    noise_sigma=args.sigma, rng_seed=args.seed,
                    box_extent=args.box)
     points, labels, centers = generate(spec)
-    csv = io.StringIO()
-    np.savetxt(csv, points.data, fmt=_FLOAT_FMT, delimiter=",")
-    _write_text(args.out, [csv.getvalue()])
+    _write_text(args.out, _csv_pieces(points.data))
     truth = {**dataclasses.asdict(spec),
              "centers": None if centers is None else centers.tolist()}
     _write_text(str(Path(args.out).with_suffix(".truth.json")),
@@ -201,17 +199,31 @@ def _result_pieces(payload: dict, labels: np.ndarray):
 
     They join to the ``json.dumps(..., sort_keys=True, separators=(",",
     ":"))`` of the whole payload plus a newline, but the labels are
-    encoded straight from the array, ``_LABEL_CHUNK`` at a time, so neither
+    encoded straight from the array, ``_PIECE_POINTS`` at a time, so neither
     a list of n Python ints nor the whole text is ever held.
     """
     head, tail = json.dumps({**payload, "labels": []}, sort_keys=True,
                             separators=(",", ":")).split('"labels":[]')
     yield head + '"labels":['
-    for lo in range(0, labels.size, _LABEL_CHUNK):
-        chunk = json.dumps(labels[lo:lo + _LABEL_CHUNK].tolist(),
+    for lo in range(0, labels.size, _PIECE_POINTS):
+        chunk = json.dumps(labels[lo:lo + _PIECE_POINTS].tolist(),
                            separators=(",", ":"))
         yield ("," if lo else "") + chunk[1:-1]
     yield "]" + tail + "\n"
+
+
+def _csv_pieces(data: np.ndarray):
+    """Text pieces of the headerless CSV of ``data``, one row per point.
+
+    They join to ``np.savetxt(..., fmt=_FLOAT_FMT, delimiter=",")``'s
+    text, but each piece of ``_PIECE_POINTS`` rows is one ``%`` format of
+    the rows' Python floats: no loop runs per row, and the whole text is
+    never held.
+    """
+    row = ",".join([_FLOAT_FMT] * data.shape[1]) + "\n"
+    for lo in range(0, len(data), _PIECE_POINTS):
+        block = data[lo:lo + _PIECE_POINTS]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _csv_cell(value) -> str:

@@ -225,8 +225,9 @@ def estimate_bandwidth(points: VectorSet, quantile: float = QUANTILE,
     the whole set the sample is every point, in an order the seed picks,
     and the estimate does not depend on that order.
 
-    Returns 0.0 when all points coincide; callers must reject a zero
-    bandwidth as a configuration error.
+    Returns 0.0 when each sampled point's neighbour of that rank coincides
+    with it, as when all points do; callers must reject a zero bandwidth as
+    a configuration error.
     """
     if points.n < 2:
         raise ValueError(f"need at least 2 points, got {points.n}")

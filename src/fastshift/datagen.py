@@ -79,8 +79,11 @@ def _blob_cloud(spec: GenSpec, sigma_per_cluster: np.ndarray, min_sep: float):
     centers = _place_centers(rng, spec.n_clusters, spec.box_extent, min_sep)
     labels = np.repeat(np.arange(spec.n_clusters, dtype=np.int64),
                        _even_sizes(spec.n_points, spec.n_clusters))
-    noise = rng.standard_normal((spec.n_points, 2))
-    pts = centers[labels] + noise * sigma_per_cluster[labels][:, None]
+    # in place, so two fewer n-by-2 arrays are live; the bits equal
+    # centers + noise * sigma's, since IEEE add and multiply commute
+    pts = rng.standard_normal((spec.n_points, 2))
+    pts *= sigma_per_cluster[labels][:, None]
+    pts += centers[labels]
     return VectorSet(pts), labels, centers
 
 

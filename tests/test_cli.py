@@ -9,6 +9,7 @@ print environment warnings that are not ours to silence.
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -24,7 +25,7 @@ from conftest import cli_env, error_lines, run_cli
 
 from fastshift import cli, kernels
 from fastshift.cli import BENCH_CSV_HEADER
-from fastshift.datagen import GenSpec, generate
+from fastshift.datagen import KINDS, GenSpec, generate
 
 
 @pytest.fixture(scope="module")
@@ -403,12 +404,17 @@ def test_bench_unknown_method_exits_2(tmp_path):
      2, "label lengths differ: 2 vs 1"),
     (("generate", "--n", "100", "--clusters", "50", "--sigma", "1",
       "--box", "1"), 3, "cannot place separated centers"),
+    # two distinct points, yet each one's quantile neighbour is a copy
+    (("cluster", "--input", "{tmp}/pairs.csv"), 2,
+     "estimated bandwidth is 0: each sampled point's quantile neighbour "
+     "coincides with it; pass --bandwidth or a larger --quantile"),
 ], ids=["cluster-seeds-word", "cluster-seeds-zero", "bench-sizes",
         "bench-methods", "bench-sigma-zero", "bench-repeats-zero",
-        "compare-lengths", "generate-crowded"])
+        "compare-lengths", "generate-crowded", "cluster-zero-estimate"])
 def test_error_exit_is_one_line(tmp_path, workspace, argv, code, message):
     inputs = {"two.json": '{"labels": [0, 1]}\n',
-              "one.json": '{"labels": [0]}\n'}
+              "one.json": '{"labels": [0]}\n',
+              "pairs.csv": "0,0\n" * 50 + "1,1\n" * 50}
     for name, text in inputs.items():
         (tmp_path / name).write_text(text)
     argv = [a.format(tmp=tmp_path, data=workspace["data"]) for a in argv]
@@ -550,7 +556,7 @@ def test_failed_write_keeps_previous_output(tmp_path, workspace, command):
             == sorted(p.name for p in earlier))
 
 
-CHUNK = cli._LABEL_CHUNK
+CHUNK = cli._PIECE_POINTS
 
 
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
@@ -583,6 +589,64 @@ def test_truth_sidecar_is_the_json_dumps_bytes(tmp_path, n):
                        "centers": centers.tolist()}, sort_keys=True,
                       separators=(",", ":")) + "\n"
     assert out.with_suffix(".truth.json").read_text() == want
+
+
+# -0.0, the smallest subnormal, the largest finite and the smallest normal
+_EDGE_FLOATS = (-0.0, 5e-324, 1e308, -1e308, 2.2250738585072014e-308,
+                -2.2250738585072014e-308)
+
+
+def _savetxt_text(x):
+    buf = io.StringIO()
+    np.savetxt(buf, x, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_csv_pieces_are_the_savetxt_text(n, d):
+    gen = np.random.default_rng(n * 10 + d)
+    # exponents across the whole double range, so every %.17g form shows
+    x = gen.standard_normal((n, d)) * 10.0 ** gen.integers(-320, 307, (n, d))
+    flat = x.ravel()
+    k = min(flat.size, len(_EDGE_FLOATS))
+    flat[:k] = _EDGE_FLOATS[:k]
+    flat[-k:] = _EDGE_FLOATS[-k:]
+    assert "".join(cli._csv_pieces(x)) == _savetxt_text(x)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("kind", KINDS)
+def test_generate_csv_is_the_savetxt_text(tmp_path, kind, n):
+    out = tmp_path / "g.csv"
+    k = min(n, 3)
+    assert cli.main(["generate", "--kind", kind, "--n", str(n), "--clusters",
+                     str(k), "--seed", "5", "--out", str(out)]) == 0
+    spec = GenSpec(kind=kind, n_points=n, n_clusters=k, rng_seed=5)
+    assert out.read_text() == _savetxt_text(generate(spec)[0].data)
+
+
+def test_generate_failing_mid_stream_keeps_previous_output(tmp_path):
+    out = tmp_path / "g.csv"
+    earlier = [out, out.with_suffix(".truth.json")]
+    for path in earlier:
+        path.write_text("previous\n")
+
+    def small_files():
+        # over one CSV piece of about 160 KB reaches the disk before a write
+        # fails with EFBIG
+        resource.setrlimit(resource.RLIMIT_FSIZE, (300_000, 300_000))
+
+    res = subprocess.run(
+        [sys.executable, "-m", "fastshift.cli", "generate", "--n", "20000",
+         "--out", str(out)],
+        capture_output=True, text=True,
+        env=cli_env(PYTHONDONTWRITEBYTECODE="1"), preexec_fn=small_files)
+    assert res.returncode == 1, res.stderr
+    assert len(error_lines(res.stderr)) == 1, res.stderr
+    for path in earlier:
+        assert path.read_text() == "previous\n"
+    assert sorted(tmp_path.iterdir()) == sorted(earlier)
 
 
 def test_failing_stream_keeps_previous_output(tmp_path):
@@ -623,6 +687,23 @@ def test_cluster_200k_peak_stays_near_the_points(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * points.data.nbytes, peak / points.data.nbytes
+
+
+def test_generate_200k_peak_stays_near_the_points(tmp_path):
+    # the command holds the points, their labels and one index temporary,
+    # and never the CSV text; the warm-up call makes the lazy one-time
+    # allocations of a first call
+    spec = GenSpec(kind="blobs", n_points=200_000, rng_seed=42)
+    nbytes = generate(spec)[0].data.nbytes
+    argv = ["generate", "--seed", "42", "--out", str(tmp_path / "g.csv")]
+    assert cli.main([*argv, "--n", "2000"]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "--n", "200000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * nbytes, peak / nbytes
 
 
 def test_out_through_symlink_updates_the_linked_file(tmp_path, workspace):
