@@ -22,8 +22,7 @@ from .core import (
 )
 
 
-def shift_once(x, points: VectorSet, h: float,
-               chunk_size: int = ShiftConfig.chunk_size):
+def shift_once(x, points: VectorSet, h: float):
     """One window-mean update: ``(new_position, window_count)``.
 
     The new position is the arithmetic mean of every point within ``h`` of
@@ -33,7 +32,8 @@ def shift_once(x, points: VectorSet, h: float,
     row = np.asarray(x, dtype=np.float64).reshape(1, -1)
     if row.shape[1] != points.d:
         raise ValueError(f"dimension mismatch: {row.shape[1]} vs {points.d}")
-    out, counts = kernels.batch_step(row, points.data, h, chunk_size)
+    out, counts = kernels.batch_step(row, points.data, h,
+                                     kernels.CHUNK_POINTS)
     return out[0], int(counts[0])
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
+from . import controller, kernels
 from .baseline import run_baseline
 from .controller import run_adaptive
 from .core import (
@@ -184,7 +184,11 @@ def cmd_cluster(args) -> int:
         "iterations_run": result.iterations_run,
         "distance_evals": result.distance_evals,
         "wall_time_s": 0.0 if args.no_timing else result.wall_time_s,
+        # the library constants a run used are part of the result format
         "config": {"backend": kernels.active_backend(),
+                   "chunk_size": kernels.CHUNK_POINTS,
+                   "seed_low_L": controller.SEED_LOW_L,
+                   "seed_high_H": controller.SEED_HIGH_H,
                    **dataclasses.asdict(cfg)},
     }
     # only the labels are still needed: free the points before writing

@@ -21,6 +21,10 @@ from . import kernels
 from .core import ClusterResult, ShiftConfig, VectorSet, assign_labels
 from .faster import Walkers, run_faster
 
+# the seed band: at least L and at most H seeds per observed mode
+SEED_LOW_L = 8
+SEED_HIGH_H = 32
+
 
 @dataclass
 class ControllerState:
@@ -37,9 +41,13 @@ class ControllerState:
     """
 
     N: int
-    retries: int = 0
     history: list = field(default_factory=list)
     exhausted: bool = False
+
+    @property
+    def retries(self) -> int:
+        """Attempts that were retried, i.e. not accepted, over all calls."""
+        return sum(not accepted for _, _, accepted in self.history)
 
 
 def coverage_probability(N: int, M: int) -> float:
@@ -62,15 +70,15 @@ def coverage_probability(N: int, M: int) -> float:
     return math.comb(N - 1, M - 1) / math.comb(N + M - 1, M - 1)
 
 
-def min_seed_bound(M: int, L: int) -> int:
+def min_seed_bound(M: int) -> int:
     """Smallest accepted seed count for M observed modes: L*M."""
-    if M < 1 or L < 1:
-        raise ValueError(f"need M >= 1 and L >= 1, got M={M} L={L}")
-    return L * M
+    if M < 1:
+        raise ValueError(f"need M >= 1, got M={M}")
+    return SEED_LOW_L * M
 
 
 def next_seed_count(state: ControllerState, M_observed: int,
-                    cfg: ShiftConfig, n: int) -> tuple[str, int]:
+                    n: int) -> tuple[str, int]:
     """Steering decision after a run that found ``M_observed`` modes.
 
     Returns one of:
@@ -84,11 +92,11 @@ def next_seed_count(state: ControllerState, M_observed: int,
     if M_observed < 1:
         raise ValueError(f"M_observed must be >= 1, got {M_observed}")
     N = min(state.N, n)
-    if N < min_seed_bound(M_observed, cfg.seed_low_L):
+    if N < min_seed_bound(M_observed):
         if N >= n:
             return "accept", N
         return "retry_now", min(2 * N, n)
-    if N > cfg.seed_high_H * M_observed:
+    if N > SEED_HIGH_H * M_observed:
         return "decay", N - M_observed
     return "accept", N
 
@@ -128,20 +136,17 @@ def run_adaptive(points: VectorSet, cfg: ShiftConfig,
     walkers = Walkers(kernels.cell_index(points.data, cfg.bandwidth_h))
     evals_total = 0
     while True:
-        result = run_faster(points, state.N, cfg,
-                            rng_seed=_attempt_seed(cfg, len(state.history)),
-                            walkers=walkers)
+        attempt = replace(cfg, rng_seed=_attempt_seed(cfg, len(state.history)))
+        result = run_faster(points, state.N, attempt, walkers=walkers)
         evals_total += result.distance_evals
         M = result.mode_set.m
-        action, n_next = next_seed_count(state, M, cfg, points.n)
+        action, n_next = next_seed_count(state, M, points.n)
         state.history.append((state.N, M, action != "retry_now"))
         if action != "retry_now":
             break
         state.N = n_next
-        state.retries += 1
     # under the floor only N reaching n can accept
-    state.exhausted = (action == "accept"
-                       and state.N < min_seed_bound(M, cfg.seed_low_L))
+    state.exhausted = action == "accept" and state.N < min_seed_bound(M)
     state.N = n_next
     # the walkers and the index are dead now; free them before labelling
     del walkers

@@ -7,7 +7,7 @@ not depend on caller parallelism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
@@ -65,10 +65,14 @@ class VectorSet:
 
 @dataclass(frozen=True)
 class ShiftConfig:
-    """Knobs shared by both engines and the seed controller.
+    """The run settings a caller sets, shared by both engines and the seed
+    controller.
 
     ``conv_tol`` is a fraction of the bandwidth: a position whose last move
-    is at most ``conv_tol * bandwidth_h`` counts as converged.
+    is at most ``conv_tol * bandwidth_h`` counts as converged. The fixed
+    implementation constants are not settings: the window step's chunk is
+    ``kernels.CHUNK_POINTS`` and the seed band is ``controller.SEED_LOW_L``
+    and ``controller.SEED_HIGH_H``.
     """
 
     bandwidth_h: float
@@ -76,11 +80,8 @@ class ShiftConfig:
     max_iter: int = 300
     early_stop_gamma: float = 0.95
     n_initial: int = 128
-    seed_low_L: int = 8
-    seed_high_H: int = 32
     rng_seed: int = 0
     min_mode_support: int = 1
-    chunk_size: int = 4096
 
     def __post_init__(self):
         check_bandwidth(self.bandwidth_h)
@@ -103,15 +104,10 @@ class ShiftConfig:
                               f"got {self.early_stop_gamma}")
         if self.n_initial < 1:
             raise ConfigError(f"n_initial must be >= 1, got {self.n_initial}")
-        if not (1 <= self.seed_low_L < self.seed_high_H):
-            raise ConfigError(f"need 1 <= seed_low_L < seed_high_H, "
-                              f"got L={self.seed_low_L} H={self.seed_high_H}")
         check_seed(self.rng_seed)
         if self.min_mode_support < 0:
             raise ConfigError(f"min_mode_support must be >= 0, "
                               f"got {self.min_mode_support}")
-        if self.chunk_size < 1:
-            raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
 
 @dataclass(frozen=True)
@@ -185,7 +181,7 @@ def lockstep(start, points: VectorSet, cfg: ShiftConfig, stop_fraction: float,
         idx = np.flatnonzero(~converged)
         rows = positions[idx]
         moved, _ = kernels.batch_step(rows, points.data, cfg.bandwidth_h,
-                                      cfg.chunk_size, index)
+                                      kernels.CHUNK_POINTS, index)
         evals += idx.size * points.n
         sweeps += 1
         converged[idx] = kernels.sq_dist(moved, rows) <= thresh2

@@ -77,13 +77,17 @@ def _even_sizes(n: int, k: int) -> np.ndarray:
 def _blob_cloud(spec: GenSpec, sigma_per_cluster: np.ndarray, min_sep: float):
     rng = np.random.default_rng(spec.rng_seed)
     centers = _place_centers(rng, spec.n_clusters, spec.box_extent, min_sep)
-    labels = np.repeat(np.arange(spec.n_clusters, dtype=np.int64),
-                       _even_sizes(spec.n_points, spec.n_clusters))
-    # in place, so two fewer n-by-2 arrays are live; the bits equal
+    sizes = _even_sizes(spec.n_points, spec.n_clusters)
+    labels = np.repeat(np.arange(spec.n_clusters, dtype=np.int64), sizes)
+    # each cluster's points are one slice, scaled and shifted in place, so
+    # no per-point sigma or center is gathered; the bits equal
     # centers + noise * sigma's, since IEEE add and multiply commute
     pts = rng.standard_normal((spec.n_points, 2))
-    pts *= sigma_per_cluster[labels][:, None]
-    pts += centers[labels]
+    stops = np.cumsum(sizes)
+    for lo, hi, sigma, center in zip(stops - sizes, stops, sigma_per_cluster,
+                                     centers):
+        pts[lo:hi] *= sigma
+        pts[lo:hi] += center
     return VectorSet(pts), labels, centers
 
 

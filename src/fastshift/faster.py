@@ -65,13 +65,13 @@ def sample_seeds(points: VectorSet, N: int, rng_seed: int) -> np.ndarray:
 
 
 def run_faster(points: VectorSet, N: int, cfg: ShiftConfig,
-               rng_seed: int | None = None,
                walkers: Walkers | None = None) -> ClusterResult:
     """Seeded mean-shift: sample, iterate with early stop, prune, label.
 
-    ``rng_seed`` defaults to ``cfg.rng_seed``; the adaptive controller
-    passes per-attempt derived seeds here. Seeds still unconverged when
-    iteration stops are discarded and contribute nothing to the modes.
+    The seeds are drawn with ``cfg.rng_seed``; the adaptive controller
+    passes each attempt a ``cfg`` with a seed derived for it. Seeds still
+    unconverged when iteration stops are discarded and contribute nothing
+    to the modes.
     ``distance_evals`` counts (moving seeds) * n per sweep, exactly.
 
     ``walkers`` makes the run one attempt of the adaptive controller. It
@@ -83,10 +83,8 @@ def run_faster(points: VectorSet, N: int, cfg: ShiftConfig,
     accepts.
     """
     t0 = time.perf_counter()
-    if rng_seed is None:
-        rng_seed = cfg.rng_seed
     carry = Walkers(index=None) if walkers is None else walkers
-    seeds = seed_indices(points.n, N, rng_seed, carry.seeds)
+    seeds = seed_indices(points.n, N, cfg.rng_seed, carry.seeds)
     start = points.data[seeds]
     flags = np.zeros(seeds.size, dtype=bool)
     if carry.positions is not None:

@@ -18,7 +18,7 @@ in-window points are added in ascending index order into one running sum
 per coordinate that starts at +0.0, the count is an exact integer, and
 one division by it makes the mean. Chunks continue that one fold and
 threads split only rows, so the bytes are the same for any
-``chunk_size``, any thread count and either backend.
+chunk size, any thread count and either backend.
 
 The window step tests each row only against the points of the cells
 around it, found through the :func:`cell_index` that ``core.lockstep``
@@ -30,7 +30,9 @@ steps each set of bit-identical rows once, since a row's result is a
 function of its bits alone. The grid drops only points the kernel would
 reject, so results are the brute-force bytes; callers still count every
 row they pass (rows times points evaluations). :func:`row_blocks` bounds
-every matrix-shaped buffer, here and in the bandwidth estimate.
+every matrix-shaped buffer, here and in the bandwidth estimate, and
+:data:`CHUNK_POINTS` caps the candidate points the window step folds at
+a time, so the window step's whole tile is decided here.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ except ImportError:  # pragma: no cover - exercised only where numba is absent
 # floats in one matrix-shaped numpy buffer (512 KB), small enough to stay in
 # cache; :func:`row_blocks` sizes every row block from it
 BLOCK_FLOATS = 65_536
+
+# candidate points per chunk of the window step; callers pass it to
+# :func:`batch_step`, and it changes no bits
+CHUNK_POINTS = 4096
 
 # the backends this machine can run, the default first
 BACKENDS = ("numba", "numpy") if HAS_NUMBA else ("numpy",)

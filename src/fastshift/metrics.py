@@ -8,12 +8,12 @@ import statistics
 
 import numpy as np
 
+from . import kernels
 from .baseline import run_baseline
 from .controller import run_adaptive
 from .core import ModeSet, ShiftConfig, VectorSet
 from .datagen import GenSpec, generate
 from .faster import run_faster
-from .kernels import sq_dist
 
 BENCH_METHODS = ("baseline", "faster", "faster_adaptive")
 
@@ -76,7 +76,7 @@ def mode_match(found: ModeSet, truth, tol: float):
         raise ValueError(f"tol must be positive, got {tol}")
     t = np.atleast_2d(np.asarray(truth, dtype=np.float64))
     nf, nt = found.m, t.shape[0]
-    d2 = sq_dist(found.modes[:, None], t)
+    d2 = kernels.sq_dist(found.modes[:, None], t)
 
     fi, ti = np.divmod(np.arange(nf * nt), nt)
     order = np.lexsort((ti, fi, d2.ravel()))
@@ -142,7 +142,8 @@ def bench_run(series: list[GenSpec], methods: list[str], cfg: ShiftConfig,
                     n_points=points.n,
                     wall_time_s=statistics.median(walls),
                     distance_evals=result.distance_evals,
-                    peak_batch_bytes=rows * min(cfg.chunk_size, points.n) * 8,
+                    peak_batch_bytes=rows * min(kernels.CHUNK_POINTS,
+                                                points.n) * 8,
                     modes_found=result.mode_set.m,
                     rand_index_vs_baseline=ri,
                 ))

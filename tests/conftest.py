@@ -162,7 +162,7 @@ def follow_point(x0, points: VectorSet, cfg: ShiftConfig) -> PointTrajectory:
     iterations = 0
     converged = False
     while iterations < cfg.max_iter:
-        new_pos, _ = shift_once(pos, points, cfg.bandwidth_h, cfg.chunk_size)
+        new_pos, _ = shift_once(pos, points, cfg.bandwidth_h)
         iterations += 1
         shift2 = kernels.sq_dist(new_pos[None], pos[None])[0]
         pos = new_pos

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from conftest import run_cli
 
+from fastshift import kernels
 from fastshift.baseline import run_baseline, shift_once
 from fastshift.controller import coverage_probability, run_adaptive
 from fastshift.core import ShiftConfig, estimate_bandwidth, kde_value
@@ -118,7 +119,7 @@ def test_criterion_5_batch_memory_bound_at_200k(verdict):
     result, _ = run_adaptive(points, TABLE_CFG)
     n = points.n
     seeds = result.seeds_used
-    peak = seeds * min(TABLE_CFG.chunk_size, n) * 8
+    peak = seeds * min(kernels.CHUNK_POINTS, n) * 8
     full_mask = seeds * n * 8
     ok = peak * 5 <= full_mask
     verdict(5, ok, f"200K transient buffer {peak:,} bytes vs full-mask "
@@ -138,7 +139,7 @@ def test_criterion_5_measured_peak_at_200k(verdict):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    nominal = result.seeds_used * min(TABLE_CFG.chunk_size, points.n) * 8
+    nominal = result.seeds_used * min(kernels.CHUNK_POINTS, points.n) * 8
     ok = peak <= nominal
     verdict(5, ok, f"200K measured peak {peak:,} bytes vs nominal transient "
                    f"buffer {nominal:,} (need <=)")
@@ -152,7 +153,7 @@ def test_criterion_6_seed_coverage(verdict):
     cfg = replace(TABLE_CFG)
     all_found = 0
     for trial in range(200):
-        result = run_faster(points, 80, cfg, rng_seed=trial)
+        result = run_faster(points, 80, replace(cfg, rng_seed=trial))
         matched, _, _ = mode_match(result.mode_set, centers,
                                    tol=cfg.bandwidth_h)
         all_found += int(matched == 10)

@@ -21,8 +21,6 @@ from fastshift import kernels
 
 from conftest import make_blobs
 
-CFG = ShiftConfig(bandwidth_h=0.3)
-
 
 # ------------------------------------------------------ coverage_probability
 
@@ -72,45 +70,45 @@ def test_coverage_validation():
 # ----------------------------------------------------------- min_seed_bound
 
 def test_min_seed_bound_values():
-    assert min_seed_bound(10, 8) == 80
-    assert min_seed_bound(1, 8) == 8
-    assert min_seed_bound(3, 1) == 3
+    assert min_seed_bound(10) == 80
+    assert min_seed_bound(1) == 8
+    assert min_seed_bound(3) == 24
     with pytest.raises(ValueError):
-        min_seed_bound(0, 8)
+        min_seed_bound(0)
 
 
 # ---------------------------------------------------------- next_seed_count
 
 def test_rule_doubles_when_under_floor():
     state = ControllerState(N=128)
-    assert next_seed_count(state, 20, CFG, n=100000) == ("retry_now", 256)
+    assert next_seed_count(state, 20, n=100000) == ("retry_now", 256)
 
 
 def test_rule_accepts_inside_band():
     state = ControllerState(N=128)
-    assert next_seed_count(state, 10, CFG, n=100000) == ("accept", 128)
+    assert next_seed_count(state, 10, n=100000) == ("accept", 128)
 
 
 def test_rule_decays_above_ceiling():
     state = ControllerState(N=512)
-    assert next_seed_count(state, 10, CFG, n=100000) == ("decay", 502)
+    assert next_seed_count(state, 10, n=100000) == ("decay", 502)
 
 
 def test_rule_accepts_at_exhaustion():
     state = ControllerState(N=64)
     # floor is 8*20=160 but only 64 points exist
-    assert next_seed_count(state, 20, CFG, n=64) == ("accept", 64)
+    assert next_seed_count(state, 20, n=64) == ("accept", 64)
 
 
 def test_rule_doubling_clamps_to_n():
     state = ControllerState(N=128)
-    assert next_seed_count(state, 20, CFG, n=200) == ("retry_now", 200)
+    assert next_seed_count(state, 20, n=200) == ("retry_now", 200)
 
 
 @given(st.integers(1, 4000), st.integers(1, 40), st.integers(1, 4000))
 def test_rule_output_always_in_range(N, M, n):
     state = ControllerState(N=N)
-    action, n_next = next_seed_count(state, M, CFG, n)
+    action, n_next = next_seed_count(state, M, n)
     assert action in ("retry_now", "accept", "decay")
     assert 1 <= n_next <= n
 
@@ -154,7 +152,7 @@ def test_adaptive_accepted_runs_meet_floor():
     _, state = run_adaptive(pts, cfg)
     for N, M, accepted in state.history:
         if accepted and not state.exhausted:
-            assert N >= min_seed_bound(M, cfg.seed_low_L)
+            assert N >= min_seed_bound(M)
 
 
 def test_adaptive_exhaustion_flag():

@@ -59,9 +59,7 @@ def test_config_defaults():
     assert cfg.max_iter == 300
     assert cfg.early_stop_gamma == 0.95
     assert cfg.n_initial == 128
-    assert (cfg.seed_low_L, cfg.seed_high_H) == (8, 32)
     assert cfg.min_mode_support == 1
-    assert cfg.chunk_size == 4096
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -73,10 +71,8 @@ def test_config_defaults():
     {"bandwidth_h": 1.0, "early_stop_gamma": 0.0},
     {"bandwidth_h": 1.0, "early_stop_gamma": 1.5},
     {"bandwidth_h": 1.0, "n_initial": 0},
-    {"bandwidth_h": 1.0, "seed_low_L": 8, "seed_high_H": 8},
     {"bandwidth_h": 1.0, "rng_seed": -1},
     {"bandwidth_h": 1.0, "min_mode_support": -1},
-    {"bandwidth_h": 1.0, "chunk_size": 0},
     # the squared convergence threshold overflows
     {"bandwidth_h": 1e200},
     {"bandwidth_h": 1.0, "conv_tol": 1e300},

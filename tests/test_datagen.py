@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from fastshift import GenSpec, gen_blobs, generate
-from fastshift.datagen import ANISO_TRANSFORM, _gen_anisotropic
+from fastshift.datagen import (
+    ANISO_TRANSFORM,
+    _blob_cloud,
+    _gen_anisotropic,
+    _place_centers,
+)
 
 
 def test_same_spec_bit_identical():
@@ -24,6 +29,24 @@ def test_blob_sizes_differ_by_at_most_one():
     sizes = np.bincount(labels, minlength=10)
     assert sizes.sum() == 103
     assert sizes.max() - sizes.min() <= 1
+
+
+def test_blob_cloud_matches_the_gather_formula_bit_for_bit():
+    # 4097 points over 10 clusters: the first 7 hold 410 points, the rest
+    # 409, so every slice boundary is off the even split; the sigmas differ
+    # per cluster so a wrong slice changes bits
+    spec = GenSpec(kind="blobs", n_points=4097, n_clusters=10, rng_seed=6)
+    sigma = 0.1 * np.array([1.0, 2.5, 0.5, 1.5, 0.75, 2.0, 1.25, 0.3, 1.8,
+                            0.9])
+    pts, labels, centers = _blob_cloud(spec, sigma, 2.5)
+    rng = np.random.default_rng(spec.rng_seed)
+    ref_centers = _place_centers(rng, 10, spec.box_extent, 2.5)
+    ref_labels = np.repeat(np.arange(10), [410] * 7 + [409] * 3)
+    noise = rng.standard_normal((spec.n_points, 2))
+    ref = noise * sigma[ref_labels][:, None] + ref_centers[ref_labels]
+    assert np.array_equal(labels, ref_labels)
+    assert centers.tobytes() == ref_centers.tobytes()
+    assert pts.data.tobytes() == ref.tobytes()
 
 
 def test_blob_points_near_their_centers():

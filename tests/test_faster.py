@@ -85,12 +85,14 @@ def test_batch_matches_per_seed_shift_once():
         assert positions[s].tobytes() == ref.tobytes()
 
 
-def test_batch_chunk_size_invariant():
+def test_batch_chunk_size_invariant(monkeypatch):
     pts, _, _ = make_blobs(n=150, k=3, sigma=0.2, seed=2)
     seeds = sample_seeds(pts, 10, rng_seed=7)
-    a = lockstep(seeds, pts, ShiftConfig(bandwidth_h=0.5, chunk_size=1), 1.0)
-    b = lockstep(seeds, pts, ShiftConfig(bandwidth_h=0.5, chunk_size=150),
-                 1.0)
+    cfg = ShiftConfig(bandwidth_h=0.5)
+    monkeypatch.setattr(kernels, "CHUNK_POINTS", 1)
+    a = lockstep(seeds, pts, cfg, 1.0)
+    monkeypatch.setattr(kernels, "CHUNK_POINTS", 150)
+    b = lockstep(seeds, pts, cfg, 1.0)
     assert a[0].tobytes() == b[0].tobytes()
     assert np.array_equal(a[1], b[1])
     assert a[2:] == b[2:]
@@ -231,11 +233,12 @@ def test_exhaustive_seeds_match_baseline_in_other_dims(data):
     d = data.draw(st.sampled_from(OTHER_DIMS), label="d")
     pts = data.draw(clustered_points(d), label="points")
     h = data.draw(st.sampled_from([0.5, 1.0, 2.5]), label="h")
+    cfg = ShiftConfig(bandwidth_h=h, early_stop_gamma=1.0)
     runs = []
     for chunk in (1, 7, 4096):
-        cfg = ShiftConfig(bandwidth_h=h, early_stop_gamma=1.0,
-                          chunk_size=chunk)
-        runs += [run_baseline(pts, cfg), run_faster(pts, pts.n, cfg)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "CHUNK_POINTS", chunk)
+            runs += [run_baseline(pts, cfg), run_faster(pts, pts.n, cfg)]
     first = runs[0]
     for res in runs[1:]:
         assert res.mode_set.modes.tobytes() == first.mode_set.modes.tobytes()
@@ -322,13 +325,13 @@ def test_retry_keeps_seeds_and_adds_unused_points():
     pts, _, _ = make_blobs(n=300, k=3, sigma=0.1, seed=2)
     cfg = ShiftConfig(bandwidth_h=0.3)
     walkers = Walkers(kernels.cell_index(pts.data, cfg.bandwidth_h))
-    run_faster(pts, 64, cfg, rng_seed=1, walkers=walkers)
+    run_faster(pts, 64, replace(cfg, rng_seed=1), walkers=walkers)
     # the first attempt draws the sample a standalone run draws
     first = walkers.seeds.copy()
     assert pts.data[first].tobytes() == sample_seeds(pts, 64, 1).tobytes()
     for N in (128, 300):
         kept = walkers.seeds.copy()
-        run_faster(pts, N, cfg, rng_seed=N, walkers=walkers)
+        run_faster(pts, N, replace(cfg, rng_seed=N), walkers=walkers)
         assert walkers.seeds.size == N
         assert np.unique(walkers.seeds).size == N
         assert walkers.seeds[:kept.size].tobytes() == kept.tobytes()
@@ -350,11 +353,11 @@ def test_retry_walkers_end_where_independent_walks_end(monkeypatch):
     pts, _, _ = make_blobs(n=1000, k=5, sigma=0.1, seed=2)
     cfg = ShiftConfig(bandwidth_h=0.3, early_stop_gamma=0.8)
     walkers = Walkers(kernels.cell_index(pts.data, cfg.bandwidth_h))
-    first = run_faster(pts, 32, cfg, rng_seed=1, walkers=walkers)
+    first = run_faster(pts, 32, replace(cfg, rng_seed=1), walkers=walkers)
     stragglers = ~walkers.converged
     assert first.labels is None and first.seeds_discarded == 4
     rows_seen = _spy_batch_step(monkeypatch)
-    res = run_faster(pts, 64, cfg, rng_seed=2, walkers=walkers)
+    res = run_faster(pts, 64, replace(cfg, rng_seed=2), walkers=walkers)
     assert res.labels is None and res.seeds_used == 64
     # the retry steps only the 4 stragglers and the 32 added seeds
     assert rows_seen[0] == 36

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fastshift.metrics as metrics_mod
+from fastshift import kernels
 from fastshift.core import ModeSet, ShiftConfig
 from fastshift.datagen import GenSpec
 from fastshift.metrics import (
@@ -169,8 +170,9 @@ def test_bench_record_is_frozen():
         rec.method = "x"
 
 
-def test_bench_peak_bytes_formula():
-    cfg = ShiftConfig(bandwidth_h=0.3, chunk_size=64, rng_seed=0)
+def test_bench_peak_bytes_formula(monkeypatch):
+    monkeypatch.setattr(kernels, "CHUNK_POINTS", 64)
+    cfg = ShiftConfig(bandwidth_h=0.3, rng_seed=0)
     series = [GenSpec(kind="blobs", n_points=500, n_clusters=5,
                       noise_sigma=0.1, rng_seed=1)]
     records = bench_run(series, ("baseline", "faster"), cfg, repeats=1)
