@@ -71,8 +71,10 @@ def test_config_defaults():
     {"bandwidth_h": 1.0, "early_stop_gamma": 0.0},
     {"bandwidth_h": 1.0, "early_stop_gamma": 1.5},
     {"bandwidth_h": 1.0, "n_initial": 0},
+    {"bandwidth_h": 1.0, "conv_tol": np.nan},
     {"bandwidth_h": 1.0, "rng_seed": -1},
     {"bandwidth_h": 1.0, "min_mode_support": -1},
+    {"bandwidth_h": 1.0, "early_stop_gamma": np.nan},
     # the squared convergence threshold overflows
     {"bandwidth_h": 1e200},
     {"bandwidth_h": 1.0, "conv_tol": 1e300},
