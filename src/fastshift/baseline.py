@@ -42,7 +42,7 @@ def run_baseline(points: VectorSet, cfg: ShiftConfig) -> ClusterResult:
 
     Every point is a walker of :func:`~fastshift.core.lockstep`, which runs
     until all have converged or ``max_iter``. End positions (converged or
-    not) become raw modes of support 1 and are merged by ``prune_modes``;
+    not) are the raw modes, each counting once, merged by ``prune_modes``;
     labels are nearest-mode over the original points.
 
     ``distance_evals`` counts window scans only (sum over walkers of
@@ -50,8 +50,7 @@ def run_baseline(points: VectorSet, cfg: ShiftConfig) -> ClusterResult:
     """
     t0 = time.perf_counter()
     positions, _, sweeps, evals = lockstep(points.data, points, cfg, 1.0)
-    mode_set = prune_modes(positions, np.ones(points.n, dtype=np.int64),
-                           cfg.bandwidth_h, cfg.min_mode_support)
+    mode_set = prune_modes(positions, cfg.bandwidth_h, cfg.min_mode_support)
     labels = assign_labels(points, mode_set)
     return ClusterResult(
         labels=labels,

@@ -169,7 +169,7 @@ def cmd_cluster(args) -> int:
     if args.method == "baseline":
         result = run_baseline(points, cfg)
     elif args.method == "faster":
-        result = run_faster(points, cfg.n_initial, cfg)
+        result = run_faster(points, cfg)
     else:
         result, _ = run_adaptive(points, cfg)
 

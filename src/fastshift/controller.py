@@ -36,13 +36,19 @@ class ControllerState:
     stream of its own. Within one ``run_adaptive`` call a retry keeps the
     previous attempt's walkers and only adds seeds; a new call (the next
     frame) starts from fresh seeds.
-    ``exhausted`` describes the latest call: it flags an accept forced by
-    N reaching n while still under the L*M bound.
     """
 
     N: int
     history: list = field(default_factory=list)
-    exhausted: bool = False
+
+    @property
+    def exhausted(self) -> bool:
+        """The latest attempt was accepted under the L*M floor, which only
+        N reaching n allows."""
+        if not self.history:
+            return False
+        N, M, accepted = self.history[-1]
+        return accepted and N < min_seed_bound(M)
 
     @property
     def retries(self) -> int:
@@ -136,18 +142,16 @@ def run_adaptive(points: VectorSet, cfg: ShiftConfig,
     walkers = Walkers(kernels.cell_index(points.data, cfg.bandwidth_h))
     evals_total = 0
     while True:
-        attempt = replace(cfg, rng_seed=_attempt_seed(cfg, len(state.history)))
-        result = run_faster(points, state.N, attempt, walkers=walkers)
+        attempt = replace(cfg, n_initial=state.N,
+                          rng_seed=_attempt_seed(cfg, len(state.history)))
+        result = run_faster(points, attempt, walkers=walkers)
         evals_total += result.distance_evals
         M = result.mode_set.m
         action, n_next = next_seed_count(state, M, points.n)
         state.history.append((state.N, M, action != "retry_now"))
+        state.N = n_next
         if action != "retry_now":
             break
-        state.N = n_next
-    # under the floor only N reaching n can accept
-    state.exhausted = action == "accept" and state.N < min_seed_bound(M)
-    state.N = n_next
     # the walkers and the index are dead now; free them before labelling
     del walkers
     labels = assign_labels(points, result.mode_set)

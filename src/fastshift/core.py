@@ -247,42 +247,36 @@ def estimate_bandwidth(points: VectorSet, quantile: float = QUANTILE,
     return float(np.cumsum(np.sort(np.sqrt(kth)))[-1] / s)
 
 
-def prune_modes(raw_modes, supports, h: float, min_mode_support: int = 1) -> ModeSet:
+def prune_modes(raw_modes, h: float, min_mode_support: int = 1) -> ModeSet:
     """Merge raw mode candidates closer than ``h`` into single modes.
 
-    Candidates are visited by support (descending), ties by position
-    (lexicographic ascending). A candidate is kept iff it sits farther than
-    ``h`` from every mode kept so far; otherwise its support folds into the
-    nearest kept mode. Modes whose accumulated support ends up below
-    ``min_mode_support`` are dropped. The output is ordered by accumulated
-    support (descending, ties lexicographic), which makes pruning a pruned
-    set a no-op.
+    Each candidate is one walker's end position and counts once.
+    Candidates are visited in lexicographic order. A candidate is kept iff
+    it sits farther than ``h`` from every mode kept so far; otherwise it
+    joins the nearest kept mode. A mode's support is the number of
+    candidates it holds; modes with support below ``min_mode_support`` are
+    dropped. The output is ordered by support (descending, ties
+    lexicographic).
     """
     cands = kernels.as_matrix(raw_modes)
-    supports = np.ascontiguousarray(supports, dtype=np.int64)
     if cands.shape[0] < 1:
         raise ValueError("raw_modes must be nonempty")
-    if cands.shape[0] != supports.shape[0]:
-        raise ValueError("raw_modes and supports lengths differ")
     check_bandwidth(h)
 
-    order = _support_lex_order(cands, supports)
-    idx, merged = kernels.greedy_prune(cands[order], supports[order], h)
-    positions = cands[order][idx]
-
-    keep = merged >= min_mode_support
+    cands = cands[np.lexsort(_lex_keys(cands))]
+    idx, support = kernels.greedy_prune(cands, h)
+    keep = support >= min_mode_support
     if not keep.any():
         raise NoModesError("no modes survive pruning")
-    positions = positions[keep]
-    merged = merged[keep]
+    positions, support = cands[idx[keep]], support[keep]
 
-    final = _support_lex_order(positions, merged)
-    return ModeSet(modes=positions[final], support=merged[final])
+    final = np.lexsort(_lex_keys(positions) + (-support,))
+    return ModeSet(modes=positions[final], support=support[final])
 
 
-def _support_lex_order(positions: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    keys = tuple(positions[:, k] for k in reversed(range(positions.shape[1])))
-    return np.lexsort(keys + (-supports,))
+def _lex_keys(positions: np.ndarray) -> tuple:
+    # np.lexsort's keys for lexicographic order: the last key is primary
+    return tuple(positions[:, k] for k in reversed(range(positions.shape[1])))
 
 
 def assign_labels(points: VectorSet, mode_set: ModeSet) -> np.ndarray:

@@ -64,27 +64,28 @@ def sample_seeds(points: VectorSet, N: int, rng_seed: int) -> np.ndarray:
     return points.data[seed_indices(points.n, N, rng_seed)]
 
 
-def run_faster(points: VectorSet, N: int, cfg: ShiftConfig,
+def run_faster(points: VectorSet, cfg: ShiftConfig,
                walkers: Walkers | None = None) -> ClusterResult:
     """Seeded mean-shift: sample, iterate with early stop, prune, label.
 
-    The seeds are drawn with ``cfg.rng_seed``; the adaptive controller
-    passes each attempt a ``cfg`` with a seed derived for it. Seeds still
-    unconverged when iteration stops are discarded and contribute nothing
-    to the modes.
+    ``cfg.n_initial`` seeds are drawn with ``cfg.rng_seed``; the adaptive
+    controller passes each attempt a ``cfg`` with its own seed count and a
+    seed derived for it. Seeds still unconverged when iteration stops are
+    discarded and contribute nothing to the modes.
     ``distance_evals`` counts (moving seeds) * n per sweep, exactly.
 
     ``walkers`` makes the run one attempt of the adaptive controller. It
     continues the walkers the previous attempt left there, converged or
-    not, and adds seeds drawn from the points not yet used, up to N in all.
-    It stops once a gamma fraction of all N have converged, prunes every
-    converged position, and leaves its walkers there for the next attempt.
+    not, and adds seeds drawn from the points not yet used, up to
+    ``cfg.n_initial`` in all. It stops once a gamma fraction of them have
+    converged, prunes every converged position, and leaves its walkers
+    there for the next attempt.
     Its ``labels`` are None: the controller labels only the attempt it
     accepts.
     """
     t0 = time.perf_counter()
     carry = Walkers(index=None) if walkers is None else walkers
-    seeds = seed_indices(points.n, N, cfg.rng_seed, carry.seeds)
+    seeds = seed_indices(points.n, cfg.n_initial, cfg.rng_seed, carry.seeds)
     start = points.data[seeds]
     flags = np.zeros(seeds.size, dtype=bool)
     if carry.positions is not None:
@@ -97,9 +98,8 @@ def run_faster(points: VectorSet, N: int, cfg: ShiftConfig,
     if not converged.any():
         raise NoConvergedSeedsError("no seeds converged")
 
-    raw = positions[converged]
-    mode_set = prune_modes(raw, np.ones(raw.shape[0], dtype=np.int64),
-                           cfg.bandwidth_h, cfg.min_mode_support)
+    mode_set = prune_modes(positions[converged], cfg.bandwidth_h,
+                           cfg.min_mode_support)
     return ClusterResult(
         labels=assign_labels(points, mode_set) if walkers is None else None,
         mode_set=mode_set,

@@ -399,18 +399,19 @@ def nearest_labels(points, modes):
 # ---------------------------------------------------------------------------
 
 
-def greedy_prune(cands, supports, h):
+def greedy_prune(cands, h):
     """Greedy accept-if-farther-than-h sweep over pre-sorted candidates.
 
-    Returns ``(accepted_indices, accumulated_supports)``. A candidate is
-    accepted when no earlier accepted one lies within ``h``; otherwise its
-    support is folded into the nearest earlier accepted one (the earliest
-    on exact ties). The loop runs once per accepted candidate: each one is
+    Returns ``(accepted_indices, supports)``. Candidates are visited in
+    the order given, each counting once. A candidate is accepted when no
+    earlier accepted one lies within ``h``; otherwise it joins the nearest
+    earlier accepted one (the earliest on exact ties). An accepted
+    candidate's support is the count of candidates it holds, itself
+    included. The loop runs once per accepted candidate: each one is
     distance-tested against every later candidate, which updates their
     nearest accepted mode so far and whether one lies within ``h``.
     """
     cands = as_matrix(cands)
-    supports = np.ascontiguousarray(supports, dtype=np.int64)
     r = cands.shape[0]
     h2 = h * h
     owner = np.zeros(r, np.int64)       # position in ``accepted``
@@ -428,6 +429,5 @@ def greedy_prune(cands, supports, h):
         covered[i + 1:r] |= d2 <= h2
         # the next candidate to accept is the first later one not covered
         i += 1 + int(covered[i + 1:].argmin())
-    acc_support = np.zeros(len(accepted), np.int64)
-    np.add.at(acc_support, owner, supports)
-    return np.asarray(accepted, dtype=np.int64), acc_support
+    support = np.bincount(owner, minlength=len(accepted)).astype(np.int64)
+    return np.asarray(accepted, dtype=np.int64), support

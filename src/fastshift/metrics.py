@@ -72,7 +72,7 @@ def mode_match(found: ModeSet, truth, tol: float):
     then reference index) and matched when the distance is at most ``tol``.
     Returns ``(matched, unmatched_found, unmatched_truth)``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     t = np.atleast_2d(np.asarray(truth, dtype=np.float64))
     nf, nt = found.m, t.shape[0]
@@ -99,7 +99,7 @@ def _run_method(method: str, points: VectorSet, cfg: ShiftConfig):
     if method == "baseline":
         return run_baseline(points, cfg)
     if method == "faster":
-        return run_faster(points, cfg.n_initial, cfg)
+        return run_faster(points, cfg)
     # bench_run has checked every method against BENCH_METHODS
     return run_adaptive(points, cfg)[0]
 

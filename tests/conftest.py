@@ -112,12 +112,12 @@ def scalar_batch_step(rows, points, h):
     return out, counts
 
 
-def scalar_greedy_prune(cands, supports, h):
+def scalar_greedy_prune(cands, h):
     """Plain-python reference for greedy pruning, one candidate at a time.
 
     A candidate is accepted when no earlier accepted one is within ``h``;
-    otherwise its support goes to the nearest earlier accepted one, the
-    first of them on exact ties. Distances fold coordinates in ascending
+    otherwise it counts toward the nearest earlier accepted one, the first
+    of them on exact ties. Distances fold coordinates in ascending
     order, as the kernels do.
     """
     cands = np.asarray(cands, dtype=np.float64)
@@ -137,10 +137,10 @@ def scalar_greedy_prune(cands, supports, h):
             if d2 < nearest_d2:
                 nearest, nearest_d2 = a, d2
         if inside:
-            acc_support[nearest] += int(supports[i])
+            acc_support[nearest] += 1
         else:
             accepted.append(i)
-            acc_support.append(int(supports[i]))
+            acc_support.append(1)
     return (np.asarray(accepted, dtype=np.int64),
             np.asarray(acc_support, dtype=np.int64))
 

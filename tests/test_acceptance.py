@@ -153,7 +153,7 @@ def test_criterion_6_seed_coverage(verdict):
     cfg = replace(TABLE_CFG)
     all_found = 0
     for trial in range(200):
-        result = run_faster(points, 80, replace(cfg, rng_seed=trial))
+        result = run_faster(points, replace(cfg, n_initial=80, rng_seed=trial))
         matched, _, _ = mode_match(result.mode_set, centers,
                                    tol=cfg.bandwidth_h)
         all_found += int(matched == 10)

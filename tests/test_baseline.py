@@ -104,7 +104,7 @@ def test_lockstep_equals_independent_trajectories():
     # the lockstep's pruned modes come from exactly these end positions
     from fastshift import prune_modes
     ends = np.stack([t.current for t in trajs])
-    ref = prune_modes(ends, np.ones(pts.n, dtype=int), cfg.bandwidth_h)
+    ref = prune_modes(ends, cfg.bandwidth_h)
     assert ref.modes.tobytes() == res.mode_set.modes.tobytes()
     assert np.array_equal(ref.support, res.mode_set.support)
 

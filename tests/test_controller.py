@@ -17,7 +17,7 @@ from fastshift import (
     next_seed_count,
     run_adaptive,
 )
-from fastshift import kernels
+from fastshift import controller, kernels
 
 from conftest import make_blobs
 
@@ -131,6 +131,22 @@ def test_adaptive_doubles_for_twenty_blobs():
     assert state.history[0][2] is False and state.history[1][2] is True
     assert state.retries == 1
     assert res.mode_set.m == 20
+
+
+def test_each_attempt_draws_its_history_seed_count(monkeypatch):
+    # run_faster takes its seed count from cfg alone: every attempt's
+    # cfg.n_initial is the N its history entry records
+    pts, _, _ = make_blobs(n=2000, k=20, sigma=0.1, seed=11)
+    seen = []
+    orig = controller.run_faster
+
+    def spy(points, cfg, walkers=None):
+        seen.append(cfg.n_initial)
+        return orig(points, cfg, walkers)
+
+    monkeypatch.setattr(controller, "run_faster", spy)
+    _, state = run_adaptive(pts, ShiftConfig(bandwidth_h=0.3, rng_seed=5))
+    assert seen == [N for N, _, _ in state.history] == [128, 256]
 
 
 def test_adaptive_decay_sequence_of_frames():

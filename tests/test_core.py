@@ -99,7 +99,7 @@ def test_config_accepts_largest_finite_threshold():
 @pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf])
 @pytest.mark.parametrize("call", [
     lambda h: ShiftConfig(bandwidth_h=h),
-    lambda h: prune_modes(np.array([[0.0, 0.0], [5.0, 5.0]]), [1, 1], h),
+    lambda h: prune_modes(np.array([[0.0, 0.0], [5.0, 5.0]]), h),
     lambda h: kde_value((0.0, 0.0), VectorSet(np.eye(2)), h),
 ], ids=["ShiftConfig", "prune_modes", "kde_value"])
 def test_one_bandwidth_rule(call, h):
@@ -295,7 +295,7 @@ def test_bandwidth_deterministic_when_capped():
 # -------------------------------------------------------------- prune_modes
 
 def test_prune_singleton():
-    ms = prune_modes(np.array([[1.0, 2.0]]), [4], h=0.5)
+    ms = prune_modes(np.repeat([[1.0, 2.0]], 4, axis=0), h=0.5)
     assert ms.m == 1
     assert ms.modes.tolist() == [[1.0, 2.0]]
     assert ms.support.tolist() == [4]
@@ -303,48 +303,71 @@ def test_prune_singleton():
 
 def test_prune_two_close_modes_merge_toward_support():
     h = 1.0
-    raw = np.array([[0.0, 0.0], [0.1 * h, 0.0]])
-    ms = prune_modes(raw, [3, 5], h)
+    raw = np.repeat([[0.1 * h, 0.0], [0.0, 0.0]], [5, 3], axis=0)
+    ms = prune_modes(raw, h)
     assert ms.m == 1
-    assert ms.modes.tolist() == [[0.1, 0.0]]  # support-5 candidate wins
+    # every candidate counts once; the lexicographically first one wins
+    assert ms.modes.tolist() == [[0.0, 0.0]]
     assert ms.support.tolist() == [8]
 
 
 def test_prune_three_collinear_hand_trace():
     h = 1.0
     raw = np.array([[0.0, 0.0], [0.9, 0.0], [1.8, 0.0]])
-    ms = prune_modes(raw, [1, 1, 1], h)
+    ms = prune_modes(raw, h)
     # first lexicographic kills its 0.9h neighbor; 1.8h survives
     assert ms.m == 2
     assert ms.modes.tolist() == [[0.0, 0.0], [1.8, 0.0]]
     assert ms.support.tolist() == [2, 1]
 
 
+def _assert_repruning_keeps_modes(ms, h):
+    # the modes lie more than h apart, so each comes back on its own,
+    # in lexicographic order, holding itself alone
+    again = prune_modes(ms.modes, h)
+    lex = np.lexsort(ms.modes.T[::-1])
+    assert again.modes.tobytes() == ms.modes[lex].tobytes()
+    assert again.support.tolist() == [1] * ms.m
+
+
 def test_prune_idempotent():
-    raw = rng.normal(size=(200, 2))
-    supports = rng.integers(1, 6, size=200)
-    ms = prune_modes(raw, supports, h=0.6)
-    again = prune_modes(ms.modes, ms.support, h=0.6)
-    assert again.modes.tobytes() == ms.modes.tobytes()
-    assert np.array_equal(again.support, ms.support)
+    raw = np.repeat(rng.normal(size=(200, 2)), rng.integers(1, 6, size=200),
+                    axis=0)
+    _assert_repruning_keeps_modes(prune_modes(raw, h=0.6), 0.6)
 
 
 @given(data=st.data())
 def test_prune_idempotent_in_other_dims(data):
     d = data.draw(st.sampled_from(OTHER_DIMS), label="d")
     raw = data.draw(clustered_points(d), label="candidates").data
-    supports = np.array(data.draw(st.lists(st.integers(1, 5), min_size=len(raw),
-                                           max_size=len(raw)), label="supports"))
     h = data.draw(st.sampled_from([0.5, 1.0, 2.5]), label="h")
-    ms = prune_modes(raw, supports, h)
-    again = prune_modes(ms.modes, ms.support, h)
-    assert again.modes.tobytes() == ms.modes.tobytes()
-    assert np.array_equal(again.support, ms.support)
+    _assert_repruning_keeps_modes(prune_modes(raw, h), h)
+
+
+@given(data=st.data())
+def test_prune_bytes_do_not_depend_on_candidate_order(data):
+    # candidates on multiples of h/2 can sit exactly h apart or coincide,
+    # so the visiting order would decide the ties if it were not fixed
+    d = data.draw(st.integers(1, 3), label="d")
+    h = data.draw(st.sampled_from([0.3, 0.5, 1.0, 2.5]), label="h")
+    r = data.draw(st.integers(1, 30), label="r")
+    ints = data.draw(st.lists(st.integers(-3, 3), min_size=r * d,
+                              max_size=r * d), label="cells")
+    cands = np.array(ints, dtype=np.float64).reshape(r, d) * (h / 2)
+    twins = data.draw(st.lists(st.integers(0, r - 1), max_size=r),
+                      label="twins")
+    cands = np.concatenate([cands, cands[twins]])
+    perm = data.draw(st.permutations(range(len(cands))), label="order")
+    ms = prune_modes(cands, h)
+    shuffled = prune_modes(cands[perm], h)
+    assert shuffled.modes.tobytes() == ms.modes.tobytes()
+    assert shuffled.support.tobytes() == ms.support.tobytes()
+    assert ms.support.sum() == len(cands)
 
 
 def test_prune_pairwise_separation_invariant():
     raw = rng.normal(size=(150, 2))
-    ms = prune_modes(raw, np.ones(150, dtype=int), h=0.5)
+    ms = prune_modes(raw, h=0.5)
     for i in range(ms.m):
         for j in range(i + 1, ms.m):
             assert euclidean_distance(ms.modes[i], ms.modes[j]) > 0.5
@@ -353,25 +376,25 @@ def test_prune_pairwise_separation_invariant():
 def test_prune_conserves_support_total():
     raw = rng.normal(size=(120, 2))
     supports = rng.integers(1, 9, size=120)
-    ms = prune_modes(raw, supports, h=0.7, min_mode_support=1)
+    ms = prune_modes(np.repeat(raw, supports, axis=0), h=0.7,
+                     min_mode_support=1)
     assert ms.support.sum() == supports.sum()
 
 
 def test_prune_min_support_filters_and_errors():
     raw = np.array([[0.0, 0.0], [5.0, 5.0]])
-    ms = prune_modes(raw, [10, 1], h=0.5, min_mode_support=5)
+    ms = prune_modes(np.repeat(raw, [10, 1], axis=0), h=0.5,
+                     min_mode_support=5)
     assert ms.m == 1 and ms.support.tolist() == [10]
     with pytest.raises(NoModesError, match="no modes survive pruning"):
-        prune_modes(raw, [1, 1], h=0.5, min_mode_support=5)
+        prune_modes(raw, h=0.5, min_mode_support=5)
 
 
 def test_prune_validation():
     with pytest.raises(ValueError):
-        prune_modes(np.empty((0, 2)), [], h=0.5)
-    with pytest.raises(ValueError):
-        prune_modes(np.array([[0.0, 0.0]]), [1, 2], h=0.5)
+        prune_modes(np.empty((0, 2)), h=0.5)
     with pytest.raises(ConfigError):
-        prune_modes(np.array([[0.0, 0.0]]), [1], h=0.0)
+        prune_modes(np.array([[0.0, 0.0]]), h=0.0)
 
 
 # ------------------------------------------------------------ assign_labels

@@ -220,7 +220,7 @@ def test_exhaustive_seeds_match_baseline_exactly():
     pts, _, _ = make_blobs(n=300, k=3, sigma=0.1, seed=12)
     cfg = ShiftConfig(bandwidth_h=0.3, early_stop_gamma=1.0)
     base = run_baseline(pts, cfg)
-    fast = run_faster(pts, pts.n, cfg)
+    fast = run_faster(pts, replace(cfg, n_initial=pts.n))
     assert fast.seeds_used == pts.n
     assert fast.seeds_discarded == 0
     assert np.array_equal(fast.labels, base.labels)
@@ -238,7 +238,8 @@ def test_exhaustive_seeds_match_baseline_in_other_dims(data):
     for chunk in (1, 7, 4096):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "CHUNK_POINTS", chunk)
-            runs += [run_baseline(pts, cfg), run_faster(pts, pts.n, cfg)]
+            runs += [run_baseline(pts, cfg),
+                     run_faster(pts, replace(cfg, n_initial=pts.n))]
     first = runs[0]
     for res in runs[1:]:
         assert res.mode_set.modes.tobytes() == first.mode_set.modes.tobytes()
@@ -248,7 +249,8 @@ def test_exhaustive_seeds_match_baseline_in_other_dims(data):
 
 def test_ten_blob_protocol_finds_ten_modes():
     pts, _, centers = make_blobs(n=2000, k=10, sigma=0.1, seed=42)
-    res = run_faster(pts, 128, ShiftConfig(bandwidth_h=0.3, rng_seed=0))
+    res = run_faster(pts, ShiftConfig(bandwidth_h=0.3, n_initial=128,
+                                      rng_seed=0))
     assert res.mode_set.m == 10
     for c in centers:
         d = np.sqrt(((res.mode_set.modes - c) ** 2).sum(axis=1)).min()
@@ -257,12 +259,12 @@ def test_ten_blob_protocol_finds_ten_modes():
 
 def test_run_deterministic_across_runs_and_threads(restore_backend):
     pts, _, _ = make_blobs(n=500, k=5, sigma=0.1, seed=3)
-    cfg = ShiftConfig(bandwidth_h=0.3, rng_seed=17)
-    a = run_faster(pts, 64, cfg)
+    cfg = ShiftConfig(bandwidth_h=0.3, n_initial=64, rng_seed=17)
+    a = run_faster(pts, cfg)
     kernels.set_threads(1)
-    b = run_faster(pts, 64, cfg)
+    b = run_faster(pts, cfg)
     kernels.set_threads(4)
-    c = run_faster(pts, 64, cfg)
+    c = run_faster(pts, cfg)
     for other in (b, c):
         assert np.array_equal(a.labels, other.labels)
         assert a.mode_set.modes.tobytes() == other.mode_set.modes.tobytes()
@@ -271,7 +273,8 @@ def test_run_deterministic_across_runs_and_threads(restore_backend):
 
 def test_discard_accounting():
     pts, _, _ = make_blobs(n=2000, k=10, sigma=0.1, seed=7)
-    res = run_faster(pts, 80, ShiftConfig(bandwidth_h=0.3, rng_seed=145))
+    res = run_faster(pts, ShiftConfig(bandwidth_h=0.3, n_initial=80,
+                                      rng_seed=145))
     survivors = res.seeds_used - res.seeds_discarded
     assert res.mode_set.support.sum() == survivors
     assert res.seeds_used == 80
@@ -287,7 +290,8 @@ def test_work_bound_counts_moving_times_n(monkeypatch):
         return orig(rows, points, h, chunk_size, index)
 
     monkeypatch.setattr(kernels, "batch_step", spy)
-    res = run_faster(pts, 50, ShiftConfig(bandwidth_h=0.3, rng_seed=1))
+    res = run_faster(pts, ShiftConfig(bandwidth_h=0.3, n_initial=50,
+                                      rng_seed=1))
     assert res.distance_evals == sum(seen)
     # each sweep is (moving seeds) * n; moving seeds never grows
     moving = [c // pts.n for c in seen]
@@ -310,7 +314,7 @@ def test_cell_index_built_once_per_run(monkeypatch):
         return orig(points, h)
 
     monkeypatch.setattr(kernels, "cell_index", spy)
-    for run in (lambda: run_faster(pts, 50, cfg),
+    for run in (lambda: run_faster(pts, replace(cfg, n_initial=50)),
                 lambda: run_baseline(pts, cfg),
                 lambda: run_adaptive(retrying, replace(cfg, rng_seed=5))):
         built.clear()
@@ -325,13 +329,14 @@ def test_retry_keeps_seeds_and_adds_unused_points():
     pts, _, _ = make_blobs(n=300, k=3, sigma=0.1, seed=2)
     cfg = ShiftConfig(bandwidth_h=0.3)
     walkers = Walkers(kernels.cell_index(pts.data, cfg.bandwidth_h))
-    run_faster(pts, 64, replace(cfg, rng_seed=1), walkers=walkers)
+    run_faster(pts, replace(cfg, n_initial=64, rng_seed=1), walkers=walkers)
     # the first attempt draws the sample a standalone run draws
     first = walkers.seeds.copy()
     assert pts.data[first].tobytes() == sample_seeds(pts, 64, 1).tobytes()
     for N in (128, 300):
         kept = walkers.seeds.copy()
-        run_faster(pts, N, replace(cfg, rng_seed=N), walkers=walkers)
+        run_faster(pts, replace(cfg, n_initial=N, rng_seed=N),
+                   walkers=walkers)
         assert walkers.seeds.size == N
         assert np.unique(walkers.seeds).size == N
         assert walkers.seeds[:kept.size].tobytes() == kept.tobytes()
@@ -353,11 +358,13 @@ def test_retry_walkers_end_where_independent_walks_end(monkeypatch):
     pts, _, _ = make_blobs(n=1000, k=5, sigma=0.1, seed=2)
     cfg = ShiftConfig(bandwidth_h=0.3, early_stop_gamma=0.8)
     walkers = Walkers(kernels.cell_index(pts.data, cfg.bandwidth_h))
-    first = run_faster(pts, 32, replace(cfg, rng_seed=1), walkers=walkers)
+    first = run_faster(pts, replace(cfg, n_initial=32, rng_seed=1),
+                       walkers=walkers)
     stragglers = ~walkers.converged
     assert first.labels is None and first.seeds_discarded == 4
     rows_seen = _spy_batch_step(monkeypatch)
-    res = run_faster(pts, 64, replace(cfg, rng_seed=2), walkers=walkers)
+    res = run_faster(pts, replace(cfg, n_initial=64, rng_seed=2),
+                     walkers=walkers)
     assert res.labels is None and res.seeds_used == 64
     # the retry steps only the 4 stragglers and the 32 added seeds
     assert rows_seen[0] == 36
@@ -375,9 +382,9 @@ def test_retry_walkers_end_where_independent_walks_end(monkeypatch):
 def test_no_converged_seeds_raises():
     pts, _, _ = make_blobs(n=400, k=4, sigma=0.3, seed=9)
     cfg = ShiftConfig(bandwidth_h=3.0, conv_tol=1e-12, max_iter=1,
-                      early_stop_gamma=1.0)
+                      early_stop_gamma=1.0, n_initial=10)
     with pytest.raises(NoConvergedSeedsError, match="no seeds converged"):
-        run_faster(pts, 10, cfg)
+        run_faster(pts, cfg)
 
 
 def test_kde_nondecreasing_for_seed_trajectories():

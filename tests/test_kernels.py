@@ -471,11 +471,10 @@ def test_greedy_prune_backends_agree(restore_backend):
     # pruning is numpy on both backends; each must give the reference's
     # indices and supports exactly
     cands = rng.normal(size=(300, 2))
-    supports = rng.integers(1, 10, size=300)
-    ref_idx, ref_sup = scalar_greedy_prune(cands, supports, 0.8)
+    ref_idx, ref_sup = scalar_greedy_prune(cands, 0.8)
     for name in BACKENDS:
         kernels.set_backend(name)
-        idx, sup = kernels.greedy_prune(cands, supports, 0.8)
+        idx, sup = kernels.greedy_prune(cands, 0.8)
         assert idx.dtype == sup.dtype == np.int64
         assert np.array_equal(idx, ref_idx), name
         assert np.array_equal(sup, ref_sup), name
@@ -484,7 +483,7 @@ def test_greedy_prune_backends_agree(restore_backend):
     for i in range(len(idx)):
         for j in range(i + 1, len(idx)):
             assert np.linalg.norm(kept[i] - kept[j]) > 0.8
-    assert sup.sum() == supports.sum()
+    assert sup.sum() == len(cands)
 
 
 @settings(max_examples=200)
@@ -500,21 +499,22 @@ def test_greedy_prune_matches_scalar_on_ties(data):
     cands = np.array(ints, dtype=np.float64).reshape(r, d) * (h / 2)
     if data.draw(st.booleans(), label="coincident"):
         cands[:] = cands[0]
-    supports = np.array(data.draw(st.lists(st.integers(1, 1000), min_size=r,
-                                           max_size=r), label="supports"))
-    idx, sup = kernels.greedy_prune(cands, supports, h)
-    ref_idx, ref_sup = scalar_greedy_prune(cands, supports, h)
+    idx, sup = kernels.greedy_prune(cands, h)
+    ref_idx, ref_sup = scalar_greedy_prune(cands, h)
+    assert idx.dtype == sup.dtype == np.int64
     assert np.array_equal(idx, ref_idx)
     assert np.array_equal(sup, ref_sup)
-    assert sup.sum() == supports.sum()
+    assert sup.sum() == r
 
 
 def test_greedy_prune_folds_support_into_nearest(backend):
-    cands = np.array([[0.0, 0.0], [0.05, 0.0], [10.0, 0.0], [10.1, 0.0]])
-    supports = np.array([5, 3, 4, 2])
-    idx, merged = kernels.greedy_prune(cands, supports, 1.0)
-    assert idx.tolist() == [0, 2]
-    assert merged.tolist() == [8, 6]
+    # (0.8, 0) lies within h of both accepted modes and counts toward the
+    # nearer one, (1.5, 0), not the earlier one
+    cands = np.array([[0.0, 0.0], [1.5, 0.0], [0.8, 0.0], [10.0, 0.0],
+                      [10.1, 0.0]])
+    idx, merged = kernels.greedy_prune(cands, 1.0)
+    assert idx.tolist() == [0, 1, 3]
+    assert merged.tolist() == [1, 2, 2]
 
 
 def test_backend_selection_validation(restore_backend):

@@ -136,6 +136,15 @@ def test_mode_match_rejects_bad_tolerance():
         mode_match(ms, np.zeros((1, 2)), tol=0.0)
 
 
+def test_mode_match_rejects_nan_tolerance():
+    # no distance compares greater than NaN, so a NaN tolerance used to
+    # match every found mode to a truth mode however far apart they were
+    found = as_mode_set([[0.0, 0.0], [5.0, 5.0]])
+    truth = np.array([[100.0, 100.0], [-50.0, 3.0]])
+    with pytest.raises(ValueError, match="tol must be positive, got nan"):
+        mode_match(found, truth, tol=float("nan"))
+
+
 # ---------------------------------------------------------------------------
 # bench_run
 
