@@ -223,7 +223,9 @@ def estimate_bandwidth(points: VectorSet, quantile: float = QUANTILE,
 
     Returns 0.0 when each sampled point's neighbour of that rank coincides
     with it, as when all points do; callers must reject a zero bandwidth as
-    a configuration error.
+    a configuration error. Raises :class:`ConfigError` when a squared
+    distance between sampled points overflows, since no estimate can be
+    read from the sample then.
     """
     if points.n < 2:
         raise ValueError(f"need at least 2 points, got {points.n}")
@@ -241,7 +243,13 @@ def estimate_bandwidth(points: VectorSet, quantile: float = QUANTILE,
     # a row is the same value however it is found
     kth = np.empty(s)
     for block in kernels.row_blocks(s, s):
-        d2 = kernels.sq_dist(sample[block, None], sample)
+        try:
+            with np.errstate(over="raise"):
+                d2 = kernels.sq_dist(sample[block, None], sample)
+        except FloatingPointError as exc:
+            raise ConfigError("bandwidth estimate overflows: squared "
+                              "distances between sampled points exceed "
+                              "the float range; pass --bandwidth") from exc
         kth[block] = np.partition(d2, k_nn, axis=1)[:, k_nn]
     # summing in sorted order makes the estimate independent of row order
     return float(np.cumsum(np.sort(np.sqrt(kth)))[-1] / s)
@@ -264,6 +272,9 @@ def prune_modes(raw_modes, h: float, min_mode_support: int = 1) -> ModeSet:
     check_bandwidth(h)
 
     cands = cands[np.lexsort(_lex_keys(cands))]
+    # the sort ties -0.0 with 0.0 and keeps the input order; as +0.0 both
+    # are the same bytes, so that order cannot show in the result
+    cands += 0.0
     idx, support = kernels.greedy_prune(cands, h)
     keep = support >= min_mode_support
     if not keep.any():

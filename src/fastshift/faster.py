@@ -48,15 +48,19 @@ class Walkers:
 def seed_indices(n: int, N: int, rng_seed: int,
                  taken: np.ndarray = np.empty(0, np.intp)) -> np.ndarray:
     """Indices of min(N, n) distinct points out of n: ``taken`` first, then
-    a uniform draw without replacement from the points not in ``taken``."""
+    a uniform draw without replacement from the points not in ``taken``.
+
+    The draw picks positions j among the n - ``taken.size`` free points,
+    and the j-th free point is j plus the number of taken points at or
+    below it. Nothing n-sized is held: only ``taken`` and the draw."""
     if N < 1:
         raise ValueError(f"seed count must be >= 1, got {N}")
     rng = np.random.default_rng(rng_seed)
-    free = np.ones(n, dtype=bool)
-    free[taken] = False
-    pool = np.flatnonzero(free)
-    fresh = rng.choice(pool.size, size=min(N, n) - taken.size, replace=False)
-    return np.concatenate([taken, pool[fresh]])
+    fresh = rng.choice(n - taken.size, size=min(N, n) - taken.size,
+                       replace=False)
+    # the i-th smallest taken point, t, has t - i free points below it
+    below = np.sort(taken) - np.arange(taken.size)
+    return np.concatenate([taken, fresh + below.searchsorted(fresh, "right")])
 
 
 def sample_seeds(points: VectorSet, N: int, rng_seed: int) -> np.ndarray:

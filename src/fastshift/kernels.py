@@ -20,6 +20,11 @@ one division by it makes the mean. Chunks continue that one fold and
 threads split only rows, so the bytes are the same for any
 chunk size, any thread count and either backend.
 
+A squared distance that overflows to inf is the right answer wherever a
+kernel compares it, outside a window or farther than a mode, so the
+window step, the labels and the pruning do not warn about it. A window
+sum that overflows makes a wrong mean, and the window step warns.
+
 The window step tests each row only against the points of the cells
 around it, found through the :func:`cell_index` that ``core.lockstep``
 sorts the points into once per run: the point order plus, for each
@@ -226,23 +231,31 @@ def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
 
 
 def _within_reach(x, h):
-    return bool(np.abs(x).max(initial=0.0) <= 2.0 ** 28 * h)
+    # NaN compares False; the extremes are read in place, not from a copy
+    reach = 2.0 ** 28 * h
+    return bool(x.max(initial=0.0) <= reach and -x.min(initial=0.0) <= reach)
 
 
-def _keys(x, lo, side, axes, width):
+def _index_dtype(size):
+    """int32 when every value below ``size`` fits in it, else int64."""
+    return np.int32 if size <= 2 ** 31 else np.int64
+
+
+def _keys(x, lo, side, axes, width, dtype=np.int64):
     """Grid cell key ``major * width + minor`` of every row of ``x``: its
     cells on the first and the second key axis, the minor one clamped to
     ``[0, width)``, which only adds neighbour cells; with one key axis the
-    key is the major cell. Built in blocks of 4,096 rows, so the only
-    n-sized array is the result: a block's few temporaries per key axis
-    stay well under it."""
-    keys = np.empty(x.shape[0], np.int64)
+    key is the major cell. Built in blocks of 4,096 rows into an array of
+    ``dtype``, so the only n-sized array is the result: a block's few
+    temporaries per key axis stay well under it."""
+    keys = np.empty(x.shape[0], dtype)
     for block in row_blocks(x.shape[0], 16):
         cells = [np.floor((x[block, k] - lo[k]) / side).astype(np.int64)
                  for k in axes]
-        keys[block] = cells[0] * width
+        cells[0] *= width
         if len(cells) > 1:
-            keys[block] += np.clip(cells[1], 0, width - 1, out=cells[1])
+            cells[0] += np.clip(cells[1], 0, width - 1, out=cells[1])
+        keys[block] = cells[0]
     return keys
 
 
@@ -260,6 +273,12 @@ def cell_index(points, h):
     when the grid is not exact: ``h * h`` is not a normal float, or a
     coordinate exceeds ``2**28 * h`` in magnitude.
 
+    Dtypes: the point keys are int32 while every key (below the number of
+    major cells times ``width``) fits in it, else int64, and ``order`` is
+    int32 while n fits in it, else int64; ``cells`` and ``offsets`` are
+    int64. At 200K points ``order`` is 0.8 MB, and no n-sized int64 array
+    exists next to it.
+
     Exactness: the grid drops a point only when it is two or more cells
     from the row on a key axis. Within that reach a computed cell position
     is off by under ``2**-23`` cells, so the exact gap on that axis exceeds
@@ -276,16 +295,36 @@ def cell_index(points, h):
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     axes = np.sort(np.argsort(lo - hi, kind="stable")[:2])
-    # the extreme point has the last minor cell: subtraction, division and
-    # floor are monotone
-    width = (int(np.floor((hi[axes[1]] - lo[axes[1]]) / side)) + 1
-             if axes.size > 1 else 1)
-    keys = _keys(points, lo, side, axes, width)
+    # the extreme point has the last cell on each axis: subtraction,
+    # division and floor are monotone
+    last = np.floor((hi - lo) / side)
+    width = int(last[axes[1]]) + 1 if axes.size > 1 else 1
+    keys = _keys(points, lo, side, axes, width,
+                 _index_dtype((int(last[axes[0]]) + 1) * width))
     order = np.argsort(keys, kind="stable")
     keys.sort()
-    # where each run of equal keys starts, then n
-    offsets = np.r_[0, np.flatnonzero(keys[1:] != keys[:-1]) + 1, keys.size]
-    return lo, side, axes, width, keys[offsets[:-1]], offsets, order
+    # where each run of equal keys starts, then n, found a block at a time:
+    # a block's keys and the next one tell which of its keys end a run
+    starts = [[0]]
+    for block in row_blocks(keys.size, 1):
+        run = keys[block.start:block.stop + 1]
+        starts.append(np.flatnonzero(run[1:] != run[:-1]) + block.start + 1)
+    offsets = np.concatenate([*starts, [keys.size]], dtype=np.int64)
+    cells = keys[offsets[:-1]].astype(np.int64)
+    # ``run`` is a view of the keys: both go before the order is cast
+    del keys, run
+    return (lo, side, axes, width, cells, offsets,
+            order.astype(_index_dtype(order.size), copy=False))
+
+
+def _gather(points, order, lows, highs):
+    """The points of ``order[lows[i]:highs[i]]`` for every i, in index
+    order. The indices are joined as intp and sorted in place: ``np.take``
+    would copy an int32 index array to intp first."""
+    take = np.concatenate([order[a:b] for a, b in zip(lows, highs)],
+                          dtype=np.intp)
+    take.sort()
+    return np.take(points, take, axis=0)
 
 
 def batch_step(rows, points, h, chunk_size, index=None):
@@ -345,28 +384,37 @@ def batch_step(rows, points, h, chunk_size, index=None):
                                                          width - 1), "right")]
     # only the output, the groups and one index per row outlive the sort
     del order, twin, first, key, new
-    for members, lows, highs in zip(np.split(distinct, heads[1:]), starts,
-                                    stops):
-        # the ranges are disjoint, so when they hold n points they hold
-        # every point, in index order; otherwise gather at once, so only
-        # the candidate points outlive this line
-        cand = points if (highs - lows).sum() == n else np.take(
-            points, np.sort(np.concatenate(
-                [point_order[a:b] for a, b in zip(lows, highs)])), axis=0)
-        # rows are independent, so row blocks cannot change any value; the
-        # numpy kernel keeps three floats per pair, a weight and a complex
-        # scan slot, so a block's buffers hold 2 * BLOCK_FLOATS floats
-        cols = min(chunk_size, cand.shape[0])
-        for block in row_blocks(members.size, -(-3 * cols // 2)):
-            sub = members[block]
-            if _backend == "numba":
-                out[sub], counts[sub] = _batch_step_numba(rows[sub], cand, h2)
-            else:
-                out[sub], counts[sub] = _batch_step_numpy_block(
-                    rows[sub], cand, h2, chunk_size, pool)
+    # a distance that overflows to inf is outside the window, as it is;
+    # a window sum that overflows is a wrong mean, which the check after
+    # the loop reports
+    with np.errstate(over="ignore"):
+        for members, lows, highs in zip(np.split(distinct, heads[1:]),
+                                        starts, stops):
+            # the ranges are disjoint, so when they hold n points they hold
+            # every point, in index order; otherwise gather at once, so
+            # only the candidate points outlive this line
+            cand = points if (highs - lows).sum() == n else _gather(
+                points, point_order, lows, highs)
+            # rows are independent, so row blocks cannot change any value;
+            # the numpy kernel keeps three floats per pair, a weight and a
+            # complex scan slot, so a block's buffers hold
+            # 2 * BLOCK_FLOATS floats
+            cols = min(chunk_size, cand.shape[0])
+            for block in row_blocks(members.size, -(-3 * cols // 2)):
+                sub = members[block]
+                if _backend == "numba":
+                    out[sub], counts[sub] = _batch_step_numba(
+                        rows[sub], cand, h2)
+                else:
+                    out[sub], counts[sub] = _batch_step_numpy_block(
+                        rows[sub], cand, h2, chunk_size, pool)
     # a twin's result is the one its first row got
     out[twins] = out[firsts]
     counts[twins] = counts[firsts]
+    # finite rows have finite window means unless a sum overflowed
+    if not np.isfinite(out).all():
+        warnings.warn("overflow encountered in a window sum", RuntimeWarning,
+                      stacklevel=2)
     return out, counts
 
 
@@ -384,12 +432,14 @@ def nearest_labels(points, modes):
     # one pooled buffer holds a block's distances and its difference, so
     # both fit in BLOCK_FLOATS; the nearest modes go straight to labels
     pool = {}
-    for block in row_blocks(points.shape[0], 2 * m):
-        rows = points[block]
-        d2, diff = _scratch(pool, "labels", 2 * rows.shape[0] * m).reshape(
-            2, rows.shape[0], m)
-        np.argmin(sq_dist(rows[:, None], modes, d2, diff), axis=1,
-                  out=labels[block])
+    # a distance that overflows to inf is farther than any finite one
+    with np.errstate(over="ignore"):
+        for block in row_blocks(points.shape[0], 2 * m):
+            rows = points[block]
+            d2, diff = _scratch(pool, "labels", 2 * rows.shape[0] * m
+                                ).reshape(2, rows.shape[0], m)
+            np.argmin(sq_dist(rows[:, None], modes, d2, diff), axis=1,
+                      out=labels[block])
     return labels
 
 
@@ -419,15 +469,17 @@ def greedy_prune(cands, h):
     covered = np.zeros(r + 1, bool)     # entry r is never covered: the end
     accepted: list[int] = []
     i = 0
-    while i < r:
-        owner[i] = len(accepted)
-        accepted.append(i)
-        d2 = sq_dist(cands[i + 1:], cands[i])
-        closer = d2 < nearest[i + 1:]
-        np.copyto(nearest[i + 1:], d2, where=closer)
-        np.copyto(owner[i + 1:], owner[i], where=closer)
-        covered[i + 1:r] |= d2 <= h2
-        # the next candidate to accept is the first later one not covered
-        i += 1 + int(covered[i + 1:].argmin())
+    # a distance that overflows to inf is farther than h, as it is
+    with np.errstate(over="ignore"):
+        while i < r:
+            owner[i] = len(accepted)
+            accepted.append(i)
+            d2 = sq_dist(cands[i + 1:], cands[i])
+            closer = d2 < nearest[i + 1:]
+            np.copyto(nearest[i + 1:], d2, where=closer)
+            np.copyto(owner[i + 1:], owner[i], where=closer)
+            covered[i + 1:r] |= d2 <= h2
+            # the next candidate to accept is the first later one not covered
+            i += 1 + int(covered[i + 1:].argmin())
     support = np.bincount(owner, minlength=len(accepted)).astype(np.int64)
     return np.asarray(accepted, dtype=np.int64), support

@@ -1,6 +1,7 @@
 """Seeded engine and the lockstep sweep: sampling, sweeps, early stop."""
 
 from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,6 +353,40 @@ def test_seed_indices_with_nothing_taken_is_a_plain_choice(n, N, seed):
     got = seed_indices(n, N, seed)
     assert got.dtype == ref.dtype
     assert got.tobytes() == ref.tobytes()
+
+
+@given(n=st.integers(1, 5000), data=st.data())
+def test_seed_indices_equals_the_free_point_pool(n, data):
+    # the reference keeps an n-sized mask of the free points and draws
+    # positions in their ascending list; ``taken`` comes in draw order,
+    # as a retry passes the earlier attempt's seeds
+    k = data.draw(st.integers(0, n), label="taken")
+    N = data.draw(st.integers(max(k, 1), n + 5), label="N")
+    seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+    taken = np.random.default_rng(seed + 1).permutation(n)[:k]
+    free = np.ones(n, dtype=bool)
+    free[taken] = False
+    pool = np.flatnonzero(free)
+    fresh = np.random.default_rng(seed).choice(
+        pool.size, size=min(N, n) - k, replace=False)
+    ref = np.concatenate([taken, pool[fresh]])
+    got = seed_indices(n, N, seed, taken)
+    assert got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_seed_indices_holds_nothing_n_sized():
+    # 200K points, the benchmark's size: a draw and a retry stay far below
+    # the 1.6 MB of one int64 per point
+    first = seed_indices(200_000, 80, 3)
+    for args in ((200_000, 80, 3), (200_000, 160, 4, first)):
+        tracemalloc.start()
+        try:
+            seed_indices(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024, peak
 
 
 def test_retry_walkers_end_where_independent_walks_end(monkeypatch):

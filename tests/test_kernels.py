@@ -2,6 +2,7 @@
 fold order makes results independent of chunking and threading."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,91 @@ def test_batch_step_grid_coordinate_limit_bitwise(backend):
         ref, ref_counts = scalar_batch_step(rows, pts, h)
         assert out.tobytes() == ref.tobytes(), f"edge={edge!r}"
         assert np.array_equal(counts, ref_counts)
+
+
+def test_batch_step_keys_beyond_int32_bitwise(backend, monkeypatch):
+    # two clusters about 2**27 cells apart on both key axes: major cells
+    # times minor cells exceed int32, so the point keys are int64, while
+    # the point order still fits int32; the grid gives the brute-force bytes
+    assert kernels._index_dtype(2 ** 31) is np.int32
+    assert kernels._index_dtype(2 ** 31 + 1) is np.int64
+    h = 0.3
+    far = 2.0 ** 27 * h
+    near = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, -0.2], [h, h], [-h, 0.0]])
+    pts = np.concatenate([near, near + far])
+    rows = np.concatenate([near + [0.05, 0.1], near + far - [h, 0.0]])
+    dtypes = []
+    keys = kernels._keys
+
+    def spy(*args):
+        out = keys(*args)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(kernels, "_keys", spy)
+    index = kernels.cell_index(pts, h)
+    assert index is not None
+    assert dtypes == [np.int64]
+    assert index[6].dtype == np.int32
+    out, counts = kernels.batch_step(rows, pts, h, 4, index)
+    ref, ref_counts = kernels.batch_step(rows, pts, h, 4)
+    assert out.tobytes() == ref.tobytes()
+    assert np.array_equal(counts, ref_counts)
+    assert counts.min() >= 1
+
+
+def test_cell_index_200k_keeps_an_int32_order():
+    # the index holds one int32 per point; while it is built, the int32
+    # keys and the argsort's intp order are the largest arrays, so it
+    # rises by at most 0.8 times the points' bytes (0.77 measured)
+    points, _, _ = make_blobs(n=200_000, k=10, sigma=0.1, seed=42)
+    kernels.cell_index(points.data[:2000], 0.3)
+    tracemalloc.start()
+    try:
+        index = kernels.cell_index(points.data, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index[6].dtype == np.int32
+    assert index[4].dtype == index[5].dtype == np.int64
+    assert peak <= 0.8 * points.data.nbytes, peak / points.data.nbytes
+
+
+def test_within_reach_copies_nothing():
+    # the extremes are read in place: at 200K points nothing n-sized is
+    # made, and a NaN is never within reach
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(200_000, 2))
+    kernels._within_reach(pts, 0.3)
+    tracemalloc.start()
+    try:
+        assert kernels._within_reach(pts, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4096, peak
+    reach = 2.0 ** 28 * 0.3
+    for x, within in (([[reach, -reach]], True),
+                      ([[np.nextafter(reach, np.inf), 0.0]], False),
+                      ([[0.0, -np.nextafter(reach, np.inf)]], False),
+                      ([[0.0, np.nan]], False), (np.empty((0, 2)), True)):
+        assert kernels._within_reach(np.asarray(x), 0.3) is within, x
+
+
+def test_batch_step_overflow_warns_only_for_a_wrong_mean(backend):
+    # squared distances between points near +-1e307 overflow to inf, which
+    # is outside the window: no warning, and each row keeps its own point.
+    # 100 copies of one such point overflow their window sum, a wrong mean
+    # that still warns, on either backend
+    pts = np.array([[1e307, 0.0], [-1e307, 0.0], [0.0, 1e307]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, counts = kernels.batch_step(pts, pts, 1.0, 64)
+    assert out.tobytes() == pts.tobytes() and counts.tolist() == [1, 1, 1]
+    crowd = np.concatenate([np.repeat(pts[:1], 100, axis=0), pts[1:]])
+    with pytest.warns(RuntimeWarning, match="overflow encountered in a "
+                                            "window sum"):
+        out, _ = kernels.batch_step(pts, crowd, 1.0, 64)
+    assert not np.isfinite(out[0]).all()
 
 
 def test_batch_step_underflowing_window_tests_every_point(backend):
