@@ -239,18 +239,24 @@ def estimate_bandwidth(points: VectorSet, quantile: float = QUANTILE,
     sample = points.data[np.random.default_rng(rng_seed).choice(
         points.n, size=s, replace=False)]
     k_nn = max(1, int(np.floor(quantile * s)))
-    # row blocks bound the memory at any sample size; the k-th smallest of
-    # a row is the same value however it is found
+    # one pooled buffer holds a block's distances and their difference, so
+    # both fit in BLOCK_FLOATS at any sample size; the k-th smallest of a
+    # row is the same value however it is found, so it is found in place
     kth = np.empty(s)
-    for block in kernels.row_blocks(s, s):
+    pool = {}
+    for block in kernels.row_blocks(s, 2 * s):
+        rows = sample[block]
+        d2, diff = kernels.scratch(pool, "d2", 2 * rows.shape[0] * s
+                                   ).reshape(2, rows.shape[0], s)
         try:
             with np.errstate(over="raise"):
-                d2 = kernels.sq_dist(sample[block, None], sample)
+                kernels.sq_dist(rows[:, None], sample, d2, diff)
         except FloatingPointError as exc:
             raise ConfigError("bandwidth estimate overflows: squared "
                               "distances between sampled points exceed "
                               "the float range; pass --bandwidth") from exc
-        kth[block] = np.partition(d2, k_nn, axis=1)[:, k_nn]
+        d2.partition(k_nn, axis=1)
+        kth[block] = d2[:, k_nn]
     # summing in sorted order makes the estimate independent of row order
     return float(np.cumsum(np.sort(np.sqrt(kth)))[-1] / s)
 

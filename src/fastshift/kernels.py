@@ -23,7 +23,8 @@ chunk size, any thread count and either backend.
 A squared distance that overflows to inf is the right answer wherever a
 kernel compares it, outside a window or farther than a mode, so the
 window step, the labels and the pruning do not warn about it. A window
-sum that overflows makes a wrong mean, and the window step warns.
+sum that overflows makes a wrong mean, and the window step raises
+``RuntimeError`` rather than return it.
 
 The window step tests each row only against the points of the cells
 around it, found through the :func:`cell_index` that ``core.lockstep``
@@ -34,8 +35,13 @@ One sort of the rows by (key, bits) makes the blocks, one per key, and
 steps each set of bit-identical rows once, since a row's result is a
 function of its bits alone. The grid drops only points the kernel would
 reject, so results are the brute-force bytes; callers still count every
-row they pass (rows times points evaluations). :func:`row_blocks` bounds
-every matrix-shaped buffer, here and in the bandwidth estimate, and
+row they pass (rows times points evaluations).
+
+One scratch budget per block: :func:`row_blocks` sizes the blocks of
+every block-shaped pass (the window step, the labels and the bandwidth
+estimate) so that everything a block holds, its distances, differences,
+weights, scan slots, copied columns and nearest modes, fits in one
+pooled buffer of :data:`BLOCK_FLOATS` floats, or one row.
 :data:`CHUNK_POINTS` caps the candidate points the window step folds at
 a time, so the window step's whole tile is decided here.
 """
@@ -55,8 +61,8 @@ try:
 except ImportError:  # pragma: no cover - exercised only where numba is absent
     HAS_NUMBA = False
 
-# floats in one matrix-shaped numpy buffer (512 KB), small enough to stay in
-# cache; :func:`row_blocks` sizes every row block from it
+# floats of scratch one block of a block-shaped pass may hold (512 KB), small
+# enough to stay in cache; :func:`row_blocks` sizes every row block from it
 BLOCK_FLOATS = 65_536
 
 # candidate points per chunk of the window step; callers pass it to
@@ -107,10 +113,11 @@ def as_matrix(arr) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64)
 
 
-def row_blocks(n_rows, cols):
+def row_blocks(n_rows, cols, shared=0):
     """Row slices over ``range(n_rows)``: a block's rows by ``cols`` float
-    buffer holds at most ``BLOCK_FLOATS`` entries, or one row."""
-    step = max(1, BLOCK_FLOATS // max(1, cols))
+    buffer, plus ``shared`` floats that do not grow with its rows, holds
+    at most ``BLOCK_FLOATS`` entries, or one row."""
+    step = max(1, (BLOCK_FLOATS - shared) // max(1, cols))
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
@@ -171,13 +178,14 @@ if HAS_NUMBA:
         return out, counts
 
 
-def _scratch(pool, key, size):
+def scratch(pool, key, size):
     """The first ``size`` floats of ``pool[key]``, grown when too small.
 
-    One pool serves one ``batch_step`` call, so all its blocks reuse the
-    same memory: the time per pair then does not depend on how the
-    allocator recycles freed blocks, which page-faults when it trims and
-    regrows the heap. Growing frees the old buffer before it allocates.
+    One pool serves one call of a block loop (the window step, the labels,
+    the bandwidth estimate), so all its blocks reuse the same memory: the
+    time per pair then does not depend on how the allocator recycles
+    freed blocks, which page-faults when it trims and regrows the heap.
+    Growing frees the old buffer before it allocates.
     """
     if key not in pool or pool[key].size < size:
         pool[key] = None
@@ -186,7 +194,8 @@ def _scratch(pool, key, size):
 
 
 def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
-    """Window step of ``rows`` over ``points`` in chunks of ``chunk_size``.
+    """Window step of ``rows`` over ``points`` in chunks of at most
+    ``chunk_size`` points.
 
     The module's window fold, two coordinates per sequential scan: a
     complex slot holds coordinate 2p in its real part and 2p + 1 in its
@@ -197,35 +206,52 @@ def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
     only when both terms are, so the running sum is never -0.0, and adding
     a zero of either sign leaves it as it is. Counts are sums of 0/1
     floats, hence exact.
+
+    A chunk of c points over the m rows holds a weight and a complex scan
+    slot per pair, the running sums, and a contiguous copy of the chunk's
+    d coordinate columns: ``(3m + d) * c + 2m`` floats in one pooled
+    buffer, so the chunk is as long as ``BLOCK_FLOATS`` allows, at least
+    one point.
     """
     m, d = rows.shape
     n = points.shape[0]
+    chunk = max(1, min(chunk_size, (BLOCK_FLOATS - 2 * m) // (3 * m + d)))
     acc = np.zeros((m, (d + 1) // 2), np.complex128)
-    counts = np.zeros(m, np.int64)
-    for lo in range(0, n, chunk_size):
-        blk = points[lo:lo + chunk_size]
-        c = blk.shape[0]
-        # one buffer holds a complex scan slot and a weight per pair; the
-        # difference is dead once the distances are summed, so it reuses
-        # the scan's floats
-        step = _scratch(pool, "step", m * (3 * c + 2))
-        split = 2 * m * (c + 1)
-        buf = step[:split].view(np.complex128).reshape(m, c + 1)
-        w = step[split:].reshape(m, c)
-        sq_dist(rows[:, None], blk, out=w, diff=step[:m * c].reshape(m, c))
+    counts = np.zeros(m)
+    tally = np.empty(m)
+    for lo in range(0, n, chunk):
+        c = min(chunk, n - lo)
+        if lo == 0 or c < chunk:
+            # the views change only for a shorter last chunk
+            step = scratch(pool, "step", (3 * m + d) * c + 2 * m)
+            split = 2 * m * (c + 1)
+            # slot 0 carries the running sum into the scan; it also keeps
+            # the row pitch off a power of two, which made the products
+            # and the scan 5-15% slower at c = 4,096
+            buf = step[:split].view(np.complex128).reshape(m, c + 1)
+            first, real, imag = buf[:, 0], buf.real[:, 1:], buf.imag[:, 1:]
+            # the difference is dead once the distances are summed, so it
+            # reuses the scan's floats
+            diff = step[:m * c].reshape(m, c)
+            w = step[split:split + m * c].reshape(m, c)
+            # contiguous columns: each read of a coordinate streams
+            cols = step[split + m * c:].reshape(d, c)
+        np.copyto(cols, points[lo:lo + c].T)
+        sq_dist(rows[:, None], cols.T, out=w, diff=diff)
         # the 0/1 window weights overwrite the distances they come from
         np.less_equal(w, h2, out=w)
-        counts += w.sum(axis=1).astype(np.int64)
+        counts += np.add.reduce(w, axis=1, out=tally)
         for p in range(acc.shape[1]):
-            buf[:, 0] = acc[:, p]
-            np.multiply(w, blk[:, 2 * p], out=buf.real[:, 1:])
+            first[:] = acc[:, p]
+            np.multiply(w, cols[2 * p], out=real)
             if 2 * p + 1 < d:
-                np.multiply(w, blk[:, 2 * p + 1], out=buf.imag[:, 1:])
+                np.multiply(w, cols[2 * p + 1], out=imag)
             else:
-                buf.imag[:, 1:] = 0.0
+                imag.fill(0.0)
             np.add.accumulate(buf, axis=1, out=buf)
             acc[:, p] = buf[:, -1]
     acc = acc.view(np.float64)[:, :d]
+    counts = counts.astype(np.int64)
     denom = np.maximum(counts, 1).astype(np.float64)
     return np.where(counts[:, None] > 0, acc / denom[:, None], rows), counts
 
@@ -386,7 +412,7 @@ def batch_step(rows, points, h, chunk_size, index=None):
     del order, twin, first, key, new
     # a distance that overflows to inf is outside the window, as it is;
     # a window sum that overflows is a wrong mean, which the check after
-    # the loop reports
+    # the loop rejects
     with np.errstate(over="ignore"):
         for members, lows, highs in zip(np.split(distinct, heads[1:]),
                                         starts, stops):
@@ -395,26 +421,33 @@ def batch_step(rows, points, h, chunk_size, index=None):
             # only the candidate points outlive this line
             cand = points if (highs - lows).sum() == n else _gather(
                 points, point_order, lows, highs)
-            # rows are independent, so row blocks cannot change any value;
-            # the numpy kernel keeps three floats per pair, a weight and a
-            # complex scan slot, so a block's buffers hold
-            # 2 * BLOCK_FLOATS floats
-            cols = min(chunk_size, cand.shape[0])
-            for block in row_blocks(members.size, -(-3 * cols // 2)):
-                sub = members[block]
-                if _backend == "numba":
-                    out[sub], counts[sub] = _batch_step_numba(
-                        rows[sub], cand, h2)
-                else:
+            if _backend == "numba":
+                # the numba loop holds no per-pair scratch, so a group is
+                # one call and its rows spread over every thread
+                out[members], counts[members] = _batch_step_numba(
+                    rows[members], cand, h2)
+            else:
+                # rows are independent, so row blocks cannot change any
+                # value. The numpy kernel's block of m rows over a chunk
+                # of c points holds (3m + d) * c + 2m floats; blocks are
+                # sized so that the whole chunk fits, with the columns
+                # taking at most half
+                cols = max(1, min(chunk_size, cand.shape[0],
+                                  BLOCK_FLOATS // (2 * rows.shape[1])))
+                for block in row_blocks(members.size, 3 * cols + 2,
+                                        rows.shape[1] * cols):
+                    sub = members[block]
                     out[sub], counts[sub] = _batch_step_numpy_block(
                         rows[sub], cand, h2, chunk_size, pool)
+            # the next group's gather must not find this one's still held
+            del cand
     # a twin's result is the one its first row got
     out[twins] = out[firsts]
     counts[twins] = counts[firsts]
     # finite rows have finite window means unless a sum overflowed
     if not np.isfinite(out).all():
-        warnings.warn("overflow encountered in a window sum", RuntimeWarning,
-                      stacklevel=2)
+        raise RuntimeError("overflow encountered in a window sum: a window "
+                           "mean of finite points exceeds the float range")
     return out, counts
 
 
@@ -428,18 +461,22 @@ def nearest_labels(points, modes):
     points = as_matrix(points)
     modes = as_matrix(modes)
     m = modes.shape[0]
-    labels = np.empty(points.shape[0], np.int64)
-    # one pooled buffer holds a block's distances and its difference, so
-    # both fit in BLOCK_FLOATS; the nearest modes go straight to labels
+    labels = np.empty(points.shape[0], _index_dtype(m))
+    # one pooled buffer holds a block's distances, its difference and its
+    # nearest modes, so all three fit in BLOCK_FLOATS; argmin writes only
+    # intp, which the labels take in their own dtype
     pool = {}
     # a distance that overflows to inf is farther than any finite one
     with np.errstate(over="ignore"):
-        for block in row_blocks(points.shape[0], 2 * m):
+        for block in row_blocks(points.shape[0], 2 * m + 1):
             rows = points[block]
-            d2, diff = _scratch(pool, "labels", 2 * rows.shape[0] * m
-                                ).reshape(2, rows.shape[0], m)
+            r = rows.shape[0]
+            buf = scratch(pool, "labels", (2 * m + 1) * r)
+            d2, diff = buf[:2 * r * m].reshape(2, r, m)
+            nearest = buf[2 * r * m:].view(np.intp)[:r]
             np.argmin(sq_dist(rows[:, None], modes, d2, diff), axis=1,
-                      out=labels[block])
+                      out=nearest)
+            labels[block] = nearest
     return labels
 
 

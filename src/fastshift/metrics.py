@@ -25,10 +25,10 @@ class BenchRecord:
     ``peak_batch_bytes`` is the nominal rows * min(chunk, n) * 8 bytes of
     one unblocked distance buffer, the figure acceptance criterion 5 also
     computes; it is neither process RSS nor what the kernels allocate,
-    since the numpy kernel blocks its buffers to ``kernels.BLOCK_FLOATS``
-    floats each. ``rand_index_vs_baseline`` is None when no baseline row
-    exists for the same dataset. Failed rows carry the error in ``status``
-    and zeros elsewhere.
+    since everything one block of the numpy kernel holds fits in
+    ``kernels.BLOCK_FLOATS`` floats. ``rand_index_vs_baseline`` is None
+    when no baseline row exists for the same dataset. Failed rows carry
+    the error in ``status`` and zeros elsewhere.
     """
 
     method: str

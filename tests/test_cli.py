@@ -222,6 +222,28 @@ def test_cluster_overflowing_distances_run_quietly(huge_csv, tmp_path,
     assert len(result["modes"]) == (128 if method == "faster" else 500)
 
 
+@pytest.mark.parametrize("method", ["baseline", "faster", "adaptive"])
+def test_cluster_overflowing_window_sum_exits_3(tmp_path, capsys, method):
+    # 100 copies of (1e307, 0) share one window whose sum overflows: the
+    # mean is wrong, so the run ends with one error line and no result,
+    # never with an inf mode written as Infinity
+    data = tmp_path / "crowd.csv"
+    pts = np.array([[1e307, 0.0]] * 100 + [[0.0, 1.0]] * 3)
+    np.savetxt(data, pts, fmt="%.17g", delimiter=",")
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["cluster", "--input", str(data), "--method", method,
+                         "--bandwidth", "1", "--no-timing", "--out",
+                         str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.splitlines() == error_lines(err) == [
+        "error: overflow encountered in a window sum: a window mean of "
+        "finite points exceeds the float range"]
+    assert not out.exists()
+
+
 def test_cluster_empty_input_is_one_error_line(tmp_path):
     # numpy's two-line warning about the empty file used to come first;
     # now stderr is what a missing file gives: whatever the accelerator
@@ -722,9 +744,9 @@ def test_failing_stream_keeps_previous_output(tmp_path):
 
 def test_cluster_200k_peak_stays_near_the_points(tmp_path):
     # the run holds the points, the cell index's int32 point order, then
-    # the labels, and fixed-size scratch, never an n-sized temporary beside
-    # them nor the points and the whole result text together (1.83 times
-    # the points measured); the warm-up call makes the lazy one-time
+    # the int32 labels, and fixed-size scratch, never an n-sized temporary
+    # beside them nor the points and the whole result text together (1.79
+    # times the points measured); the warm-up call makes the lazy one-time
     # allocations of a first call
     spec = GenSpec(kind="blobs", n_points=200_000, n_clusters=10,
                    noise_sigma=0.1, rng_seed=42)
@@ -742,7 +764,32 @@ def test_cluster_200k_peak_stays_near_the_points(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.92 * points.data.nbytes, peak / points.data.nbytes
+    assert peak <= 1.87 * points.data.nbytes, peak / points.data.nbytes
+
+
+def test_cluster_5k_baseline_peak_is_one_scratch_budget(tmp_path):
+    # every point walks, so the window step's row blocks are full: the peak
+    # is one BLOCK_FLOATS budget of block scratch (0.52 MB) on top of the
+    # points, the walkers and the parsed input, 1.34 MB measured, plus 5%;
+    # two budgets would read 1.86 MB. The warm-up call makes the lazy
+    # one-time allocations of a first call
+    spec = GenSpec(kind="blobs", n_points=5000, n_clusters=10,
+                   noise_sigma=0.1, rng_seed=42)
+    points, _, _ = generate(spec)
+    data = tmp_path / "blobs.csv"
+    np.savetxt(data, points.data, fmt="%.17g", delimiter=",")
+    small = tmp_path / "small.csv"
+    np.savetxt(small, points.data[:2000], fmt="%.17g", delimiter=",")
+    argv = ["cluster", "--method", "baseline", "--bandwidth", "0.3",
+            "--no-timing", "--out", str(tmp_path / "result.json")]
+    assert cli.main([*argv, "--input", str(small)]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "--input", str(data)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.40e6, peak
 
 
 def test_generate_200k_peak_stays_near_the_points(tmp_path):

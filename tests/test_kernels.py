@@ -62,9 +62,11 @@ def test_batch_step_backends_agree_bitwise(restore_backend):
 
 def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
     # enough rows per grid cell that some cell's group exceeds the numpy
-    # row-block budget: the kernel keeps three floats per pair (a weight and
-    # a complex scan slot) in 2 * BLOCK_FLOATS floats, so a block holds
-    # BLOCK_FLOATS // ceil(3 * min(chunk, candidates) / 2) rows
+    # row-block budget: m rows over a chunk of c points hold a weight and a
+    # complex scan slot per pair, a running sum per row and the chunk's d
+    # columns, (3m + d) * c + 2m floats, in BLOCK_FLOATS; with c =
+    # min(chunk, candidates) a block holds (BLOCK_FLOATS - d * c) //
+    # (3 * c + 2) rows
     big_rows = rng.normal(size=(1500, 2))
     pts = rng.normal(size=(3000, 2))
     kernels.set_backend("numpy")
@@ -73,7 +75,8 @@ def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
 
     def spy(rows, points, h2, chunk_size, pool):
         cols = min(chunk_size, points.shape[0])
-        budget = kernels.BLOCK_FLOATS // -(-3 * cols // 2)
+        budget = ((kernels.BLOCK_FLOATS - rows.shape[1] * cols)
+                  // (3 * cols + 2))
         calls.append((rows.shape[0], budget))
         return numpy_block(rows, points, h2, chunk_size, pool)
 
@@ -277,11 +280,10 @@ def test_batch_step_twins_cost_no_memory(restore_backend):
 
 def test_batch_step_scratch_stays_two_blocks(restore_backend):
     # all rows and points share one grid cell, so one group of 2,000 rows
-    # over 3,000 candidates fills whole row blocks. The kernel's scratch is
-    # 2 * BLOCK_FLOATS floats; the rest grows with the rows (output, count,
-    # sort indices) and the candidates (their indices and gathered copy):
-    # here 18 B per row and candidate, and 38 B under the fold that ran one
-    # real scan per coordinate with two floats per pair
+    # over 3,000 candidates fills whole row blocks. The kernel's scratch,
+    # a weight and a complex scan slot per pair and the chunk's columns,
+    # is one BLOCK_FLOATS budget; the rest grows with the rows (output,
+    # count, sort indices): here 15 B per row and candidate
     kernels.set_backend("numpy")
     gen = np.random.default_rng(9)
     pts = gen.uniform(0.0, 0.9, size=(3000, 2))
@@ -296,7 +298,31 @@ def test_batch_step_scratch_stays_two_blocks(restore_backend):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * kernels.BLOCK_FLOATS * 8 + 64 * (2000 + 3000), peak
+    assert peak <= kernels.BLOCK_FLOATS * 8 + 64 * (2000 + 3000), peak
+
+
+@pytest.mark.parametrize("d, n_rows, h", [(8, 40, 3.0), (50, 20, 9.5)])
+def test_batch_step_wide_rows_bitwise_within_budget(restore_backend, d,
+                                                    n_rows, h):
+    # at d = 50 the columns of a 4,096-point chunk alone would take three
+    # budgets, so the kernel shrinks the chunk (to 668 points for 16 rows)
+    # and the scratch stays one BLOCK_FLOATS budget; numpy may add its two
+    # 8,192-element ufunc buffers, and the rest grows with the rows
+    kernels.set_backend("numpy")
+    gen = np.random.default_rng(d)
+    pts = gen.normal(size=(2000, d))
+    rows = pts[:n_rows] + 0.01
+    ref, ref_counts = scalar_batch_step(rows, pts, h)
+    kernels.batch_step(rows, pts, h, 4096)
+    tracemalloc.start()
+    try:
+        out, counts = kernels.batch_step(rows, pts, h, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == ref.tobytes()
+    assert np.array_equal(counts, ref_counts) and counts.min() > 1
+    assert peak <= (kernels.BLOCK_FLOATS + 2 * 8192) * 8 + 64 * rows.size, peak
 
 
 def test_batch_step_without_grid_reads_points_in_place(restore_backend):
@@ -405,21 +431,22 @@ def test_within_reach_copies_nothing():
         assert kernels._within_reach(np.asarray(x), 0.3) is within, x
 
 
-def test_batch_step_overflow_warns_only_for_a_wrong_mean(backend):
+def test_batch_step_overflow_raises_only_for_a_wrong_mean(backend):
     # squared distances between points near +-1e307 overflow to inf, which
-    # is outside the window: no warning, and each row keeps its own point.
-    # 100 copies of one such point overflow their window sum, a wrong mean
-    # that still warns, on either backend
+    # is outside the window: no warning, no error, and each row keeps its
+    # own point. 100 copies of one such point overflow their window sum, a
+    # wrong mean that raises, on either backend
     pts = np.array([[1e307, 0.0], [-1e307, 0.0], [0.0, 1e307]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out, counts = kernels.batch_step(pts, pts, 1.0, 64)
     assert out.tobytes() == pts.tobytes() and counts.tolist() == [1, 1, 1]
     crowd = np.concatenate([np.repeat(pts[:1], 100, axis=0), pts[1:]])
-    with pytest.warns(RuntimeWarning, match="overflow encountered in a "
-                                            "window sum"):
-        out, _ = kernels.batch_step(pts, crowd, 1.0, 64)
-    assert not np.isfinite(out[0]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="overflow encountered in a "
+                                               "window sum"):
+            kernels.batch_step(pts, crowd, 1.0, 64)
 
 
 def test_batch_step_underflowing_window_tests_every_point(backend):
@@ -510,7 +537,7 @@ def test_scratch_growth_never_holds_two_buffers():
     tracemalloc.start()
     try:
         for size in (1_000, 30_000, 60_000):
-            buf = kernels._scratch(pool, "d2", size)
+            buf = kernels.scratch(pool, "d2", size)
             assert buf.size == size
             del buf
         _, peak = tracemalloc.get_traced_memory()
@@ -544,6 +571,30 @@ def test_nearest_labels_matches_argmin(backend):
         labels = kernels.nearest_labels(POINTS, modes)
         d2 = ((POINTS[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
         assert np.array_equal(labels, np.argmin(d2, axis=1))
+
+
+def test_nearest_labels_are_int32_and_equal_int64_argmin():
+    # labels take int32 while every mode index fits; argmin writes intp
+    # into one block's scratch, so no n-sized int64 array is made: the
+    # peak is the labels, one budget and numpy's two 8,192-element ufunc
+    # buffers
+    modes = rng.normal(size=(600, 3))
+    d2 = ((POINTS[:, None, :] - modes[None, :, :]) ** 2).sum(axis=2)
+    ref = np.argmin(d2, axis=1).astype(np.int64)
+    labels = kernels.nearest_labels(POINTS, modes)
+    assert labels.dtype == np.int32
+    assert np.array_equal(labels, ref)
+    pts = np.random.default_rng(2).normal(size=(50_000, 2))
+    kernels.nearest_labels(pts, modes[:10, :2])
+    tracemalloc.start()
+    try:
+        labels = kernels.nearest_labels(pts, modes[:10, :2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.dtype == np.int32
+    assert peak <= (4 * pts.shape[0] + (kernels.BLOCK_FLOATS + 2 * 8192) * 8
+                    + 16384), peak
 
 
 def test_nearest_labels_tie_goes_to_lower_index(backend):
