@@ -184,7 +184,9 @@ def lockstep(start, points: VectorSet, cfg: ShiftConfig, stop_fraction: float,
                                       kernels.CHUNK_POINTS, index)
         evals += idx.size * points.n
         sweeps += 1
-        converged[idx] = kernels.sq_dist(moved, rows) <= thresh2
+        # a step whose square overflows to inf is not converged, as it is
+        with np.errstate(over="ignore"):
+            converged[idx] = kernels.sq_dist(moved, rows) <= thresh2
         positions[idx] = moved
     return positions, converged, sweeps, evals
 

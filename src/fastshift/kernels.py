@@ -30,7 +30,9 @@ The window step tests each row only against the points of the cells
 around it, found through the :func:`cell_index` that ``core.lockstep``
 sorts the points into once per run: the point order plus, for each
 occupied cell only, its key and where its points start in that order.
-Rows and points share one cell key.
+A stable counting sort over the cells builds that order a block of rows
+at a time, so the index holds one int32 per point and no other n-sized
+array. Rows and points share one cell key.
 One sort of the rows by (key, bits) makes the blocks, one per key, and
 steps each set of bit-identical rows once, since a row's result is a
 function of its bits alone. The grid drops only points the kernel would
@@ -43,7 +45,10 @@ estimate) so that everything a block holds, its distances, differences,
 weights, scan slots, copied columns and nearest modes, fits in one
 pooled buffer of :data:`BLOCK_FLOATS` floats, or one row.
 :data:`CHUNK_POINTS` caps the candidate points the window step folds at
-a time, so the window step's whole tile is decided here.
+a time, so the window step's whole tile is decided here. The window step
+hands its numpy kernel a group's candidates as sorted indices, and the
+kernel gathers each chunk's points into that same buffer, so no group's
+candidate points are ever copied whole.
 """
 
 from __future__ import annotations
@@ -193,9 +198,10 @@ def scratch(pool, key, size):
     return pool[key][:size]
 
 
-def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
-    """Window step of ``rows`` over ``points`` in chunks of at most
-    ``chunk_size`` points.
+def _batch_step_numpy_block(rows, points, h2, chunk_size, pool, take=None):
+    """Window step of ``rows`` over the points ``points[take]`` (all of
+    ``points`` when ``take`` is None) in chunks of at most ``chunk_size``
+    points.
 
     The module's window fold, two coordinates per sequential scan: a
     complex slot holds coordinate 2p in its real part and 2p + 1 in its
@@ -211,11 +217,17 @@ def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
     slot per pair, the running sums, and a contiguous copy of the chunk's
     d coordinate columns: ``(3m + d) * c + 2m`` floats in one pooled
     buffer, so the chunk is as long as ``BLOCK_FLOATS`` allows, at least
-    one point.
+    one point. With ``take``, the chunk's points are gathered from
+    ``points`` as c rows, behind their c indices, into the floats of the
+    scan slots and weights, which are dead until the columns are copied
+    out; those floats then number at least ``(d + 1) * c``. So the
+    candidate points are never copied whole, and the gather holds nothing
+    beyond the one buffer.
     """
     m, d = rows.shape
-    n = points.shape[0]
-    chunk = max(1, min(chunk_size, (BLOCK_FLOATS - 2 * m) // (3 * m + d)))
+    n = points.shape[0] if take is None else take.size
+    slots = 3 * m if take is None else max(3 * m, d + 1)
+    chunk = max(1, min(chunk_size, (BLOCK_FLOATS - 2 * m) // (slots + d)))
     acc = np.zeros((m, (d + 1) // 2), np.complex128)
     counts = np.zeros(m)
     tally = np.empty(m)
@@ -223,7 +235,7 @@ def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
         c = min(chunk, n - lo)
         if lo == 0 or c < chunk:
             # the views change only for a shorter last chunk
-            step = scratch(pool, "step", (3 * m + d) * c + 2 * m)
+            step = scratch(pool, "step", (slots + d) * c + 2 * m)
             split = 2 * m * (c + 1)
             # slot 0 carries the running sum into the scan; it also keeps
             # the row pitch off a power of two, which made the products
@@ -234,9 +246,18 @@ def _batch_step_numpy_block(rows, points, h2, chunk_size, pool):
             # reuses the scan's floats
             diff = step[:m * c].reshape(m, c)
             w = step[split:split + m * c].reshape(m, c)
+            idx = step[:c].view(np.intp)
+            gathered = step[c:(d + 1) * c].reshape(c, d)
             # contiguous columns: each read of a coordinate streams
-            cols = step[split + m * c:].reshape(d, c)
-        np.copyto(cols, points[lo:lo + c].T)
+            cols = step[slots * c + 2 * m:].reshape(d, c)
+        if take is None:
+            np.copyto(cols, points[lo:lo + c].T)
+        else:
+            # intp indices spare numpy its own copy of them, and valid
+            # ones under "clip" spare it a copy of ``out``
+            np.copyto(idx, take[lo:lo + c])
+            np.copyto(cols, points.take(idx, axis=0, out=gathered,
+                                        mode="clip").T)
         sq_dist(rows[:, None], cols.T, out=w, diff=diff)
         # the 0/1 window weights overwrite the distances they come from
         np.less_equal(w, h2, out=w)
@@ -299,11 +320,17 @@ def cell_index(points, h):
     when the grid is not exact: ``h * h`` is not a normal float, or a
     coordinate exceeds ``2**28 * h`` in magnitude.
 
-    Dtypes: the point keys are int32 while every key (below the number of
-    major cells times ``width``) fits in it, else int64, and ``order`` is
-    int32 while n fits in it, else int64; ``cells`` and ``offsets`` are
-    int64. At 200K points ``order`` is 0.8 MB, and no n-sized int64 array
-    exists next to it.
+    ``order`` comes from a stable counting sort over the cells, a block
+    of 4,096 rows at a time. Pass 1 collects the occupied cells and their
+    counts from each block's keys. Pass 2 computes each block's keys
+    again, ranks them against ``cells`` and writes the block's indices at
+    each cell's next free place in ``order``, so a cell lists its points
+    in index order. Dtypes: the point keys are int32 while every key
+    (below the number of major cells times ``width``) fits in it, else
+    int64, and ``order`` is int32 while n fits in it, else int64;
+    ``cells`` and ``offsets`` are int64. No n-sized keys or intp array
+    exist: at 200K points the build holds the 0.8 MB ``order``, arrays
+    a few times the occupied cells and one block's scratch.
 
     Exactness: the grid drops a point only when it is two or more cells
     from the row on a key axis. Within that reach a computed cell position
@@ -325,32 +352,62 @@ def cell_index(points, h):
     # division and floor are monotone
     last = np.floor((hi - lo) / side)
     width = int(last[axes[1]]) + 1 if axes.size > 1 else 1
-    keys = _keys(points, lo, side, axes, width,
-                 _index_dtype((int(last[axes[0]]) + 1) * width))
-    order = np.argsort(keys, kind="stable")
-    keys.sort()
-    # where each run of equal keys starts, then n, found a block at a time:
-    # a block's keys and the next one tell which of its keys end a run
-    starts = [[0]]
-    for block in row_blocks(keys.size, 1):
-        run = keys[block.start:block.stop + 1]
-        starts.append(np.flatnonzero(run[1:] != run[:-1]) + block.start + 1)
-    offsets = np.concatenate([*starts, [keys.size]], dtype=np.int64)
-    cells = keys[offsets[:-1]].astype(np.int64)
-    # ``run`` is a view of the keys: both go before the order is cast
-    del keys, run
-    return (lo, side, axes, width, cells, offsets,
-            order.astype(_index_dtype(order.size), copy=False))
+    grid = (lo, side, axes, width,
+            _index_dtype((int(last[axes[0]]) + 1) * width))
+    blocks = list(row_blocks(points.shape[0], 16))
+    # pass 1: the occupied cells and their counts. A block's distinct keys
+    # wait until they outnumber the cells merged so far, so the merges cost
+    # O(n log n) in all and hold a few times the occupied cells at most
+    cells, counts, waiting = np.empty(0, grid[4]), np.empty(0, np.int64), []
+    for i, block in enumerate(blocks):
+        waiting.append(np.unique(_keys(points[block], *grid),
+                                 return_counts=True))
+        if (i + 1 == len(blocks)
+                or sum(k.size for k, _ in waiting) > cells.size):
+            merged = np.concatenate([cells, *(k for k, _ in waiting)])
+            merged.sort()
+            merged = merged[np.concatenate(([True],
+                                            merged[1:] != merged[:-1]))]
+            total = np.zeros(merged.size, np.int64)
+            # each list's keys are distinct, so no place is added to twice
+            for k, c in [(cells, counts), *waiting]:
+                total[merged.searchsorted(k)] += c
+            cells, counts, waiting = merged, total, []
+    offsets = np.zeros(cells.size + 1, np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    cells = cells.astype(np.int64)
+    del counts
+    # pass 2: each block's points, stably sorted by cell, go to their
+    # cells' next free places
+    order = np.empty(points.shape[0], _index_dtype(points.shape[0]))
+    fill = offsets[:-1].copy()
+    block_rows = blocks[0].stop
+    for block in blocks:
+        # a point's cell rank and its place in the block as one int64,
+        # whose plain sort is stable and faster than a stable argsort
+        rank = cells.searchsorted(_keys(points[block], *grid)) * block_rows
+        rank += np.arange(rank.size)
+        rank.sort()
+        local = rank % block_rows + block.start
+        rank //= block_rows
+        heads = np.flatnonzero(np.concatenate(([True],
+                                               rank[1:] != rank[:-1])))
+        sizes = np.diff(heads, append=rank.size)
+        at = rank[heads]
+        order[np.repeat(fill[at] - heads, sizes)
+              + np.arange(rank.size)] = local
+        fill[at] += sizes
+    return lo, side, axes, width, cells, offsets, order
 
 
-def _gather(points, order, lows, highs):
-    """The points of ``order[lows[i]:highs[i]]`` for every i, in index
-    order. The indices are joined as intp and sorted in place: ``np.take``
-    would copy an int32 index array to intp first."""
-    take = np.concatenate([order[a:b] for a, b in zip(lows, highs)],
-                          dtype=np.intp)
+def _gather(order, lows, highs):
+    """The indices ``order[lows[i]:highs[i]]`` for every i, joined in
+    ``order``'s dtype and sorted in place: one group's candidates in index
+    order, four bytes each while ``order`` is int32. The numpy kernel
+    gathers their points a chunk at a time."""
+    take = np.concatenate([order[a:b] for a, b in zip(lows, highs)])
     take.sort()
-    return np.take(points, take, axis=0)
+    return take
 
 
 def batch_step(rows, points, h, chunk_size, index=None):
@@ -363,11 +420,13 @@ def batch_step(rows, points, h, chunk_size, index=None):
     rows and points share one cell. A cell's rows are stepped over the
     points of its 3 by 3 neighbour cells in index order, found by
     searching ``cells`` and read from ``order`` through ``offsets``, so
-    the bytes are those of testing every (row, point) pair; when those
-    cells hold every point, the kernel reads ``points`` itself. Each set
-    of bit-identical rows is stepped once, its result copied to the
-    others. Callers count rows times points distance evaluations per
-    call, whatever the grid and the deduplication save.
+    the bytes are those of testing every (row, point) pair. The numpy
+    kernel gathers those points chunk by chunk from ``points`` through
+    their sorted indices, and the numba kernel gets them copied once per
+    group; when those cells hold every point, both read ``points``
+    itself. Each set of bit-identical rows is stepped once, its result
+    copied to the others. Callers count rows times points distance
+    evaluations per call, whatever the grid and the deduplication save.
     """
     rows = as_matrix(rows)
     points = as_matrix(points)
@@ -417,30 +476,31 @@ def batch_step(rows, points, h, chunk_size, index=None):
         for members, lows, highs in zip(np.split(distinct, heads[1:]),
                                         starts, stops):
             # the ranges are disjoint, so when they hold n points they hold
-            # every point, in index order; otherwise gather at once, so
-            # only the candidate points outlive this line
-            cand = points if (highs - lows).sum() == n else _gather(
-                points, point_order, lows, highs)
+            # every point, in index order, and the kernels read ``points``
+            take = None if (highs - lows).sum() == n else _gather(
+                point_order, lows, highs)
             if _backend == "numba":
                 # the numba loop holds no per-pair scratch, so a group is
                 # one call and its rows spread over every thread
                 out[members], counts[members] = _batch_step_numba(
-                    rows[members], cand, h2)
+                    rows[members], points if take is None else points[take],
+                    h2)
             else:
                 # rows are independent, so row blocks cannot change any
                 # value. The numpy kernel's block of m rows over a chunk
                 # of c points holds (3m + d) * c + 2m floats; blocks are
                 # sized so that the whole chunk fits, with the columns
                 # taking at most half
-                cols = max(1, min(chunk_size, cand.shape[0],
+                cols = max(1, min(chunk_size,
+                                  n if take is None else take.size,
                                   BLOCK_FLOATS // (2 * rows.shape[1])))
                 for block in row_blocks(members.size, 3 * cols + 2,
                                         rows.shape[1] * cols):
                     sub = members[block]
                     out[sub], counts[sub] = _batch_step_numpy_block(
-                        rows[sub], cand, h2, chunk_size, pool)
+                        rows[sub], points, h2, chunk_size, pool, take)
             # the next group's gather must not find this one's still held
-            del cand
+            del take
     # a twin's result is the one its first row got
     out[twins] = out[firsts]
     counts[twins] = counts[firsts]

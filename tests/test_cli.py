@@ -8,6 +8,7 @@ the accelerator import may print environment warnings that are not ours
 to silence.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -18,12 +19,15 @@ import resource
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from conftest import cli_env, error_lines, run_cli
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastshift import cli, kernels
 from fastshift.cli import BENCH_CSV_HEADER
@@ -576,6 +580,60 @@ def test_degenerate_input_exit_codes(tmp_path, capsys):
     assert code == 0 and len(result["modes"]) == 3
 
 
+# hostile coordinates: signed zeros, subnormals, values whose squares
+# underflow or overflow, near the float range's end, and small integers
+_HOSTILE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                            1e-300, -1e-300, 1e154, -1e154, 1e307, -1e307,
+                            -2.0, -1.0, 1.0, 2.0, 3.0])
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_cluster_hostile_csv_ends_cleanly_and_repeats(data):
+    # every run ends with a documented exit code and no warning: an empty
+    # stderr on success, else exactly one error line, never an internal
+    # error; the same input gives the same bytes twice
+    d = data.draw(st.integers(1, 4), label="d")
+    k = data.draw(st.integers(1, 6), label="distinct")
+    pool = np.array(data.draw(st.lists(_HOSTILE, min_size=k * d,
+                                       max_size=k * d), label="pool"),
+                    dtype=np.float64).reshape(k, d)
+    picks = data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                               max_size=40), label="rows")
+    method = data.draw(st.sampled_from(["baseline", "faster", "adaptive"]),
+                       label="method")
+    bandwidth = data.draw(st.sampled_from([None, "1e-300", "0.5", "1",
+                                           "1e154", "1e300"]),
+                          label="bandwidth")
+    extra = [] if bandwidth is None else ["--bandwidth", bandwidth]
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = _write_csv(os.path.join(tmp, "in.csv"), pool[picks])
+        out = os.path.join(tmp, "r.json")
+        runs = []
+        for _ in range(2):
+            if os.path.exists(out):
+                os.unlink(out)
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = cli.main(["cluster", "--input", csv, "--method",
+                                 method, *extra, "--no-timing", "--out",
+                                 out])
+            assert not caught, [str(w.message) for w in caught]
+            result = open(out, "rb").read() if os.path.exists(out) else None
+            runs.append((code, err.getvalue(), result))
+    code, err, result = runs[0]
+    assert code in (0, 2, 3), err
+    if code == 0:
+        assert err == "" and result is not None
+    else:
+        assert len(err.splitlines()) == len(error_lines(err)) == 1, err
+        assert not err.startswith("error: internal error"), err
+        assert result is None
+    assert runs[1] == runs[0]
+
+
 def test_unknown_backend_warns_and_runs_the_default(workspace):
     # the environment picks from the backends this machine can run; any
     # other name warns and keeps the default, for every command
@@ -745,9 +803,10 @@ def test_failing_stream_keeps_previous_output(tmp_path):
 def test_cluster_200k_peak_stays_near_the_points(tmp_path):
     # the run holds the points, the cell index's int32 point order, then
     # the int32 labels, and fixed-size scratch, never an n-sized temporary
-    # beside them nor the points and the whole result text together (1.79
-    # times the points measured); the warm-up call makes the lazy one-time
-    # allocations of a first call
+    # beside them, a group's candidate points copied whole, nor the points
+    # and the whole result text together (1.47 times the points measured,
+    # 1.79 with an argsort cell order and whole candidate copies); the
+    # warm-up call makes the lazy one-time allocations of a first call
     spec = GenSpec(kind="blobs", n_points=200_000, n_clusters=10,
                    noise_sigma=0.1, rng_seed=42)
     points, _, _ = generate(spec)
@@ -764,7 +823,7 @@ def test_cluster_200k_peak_stays_near_the_points(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.87 * points.data.nbytes, peak / points.data.nbytes
+    assert peak <= 1.6 * points.data.nbytes, peak / points.data.nbytes
 
 
 def test_cluster_5k_baseline_peak_is_one_scratch_budget(tmp_path):

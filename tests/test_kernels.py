@@ -73,12 +73,13 @@ def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
     calls = []
     numpy_block = kernels._batch_step_numpy_block
 
-    def spy(rows, points, h2, chunk_size, pool):
-        cols = min(chunk_size, points.shape[0])
+    def spy(rows, points, h2, chunk_size, pool, take=None):
+        cand = points if take is None else points[take]
+        cols = min(chunk_size, cand.shape[0])
         budget = ((kernels.BLOCK_FLOATS - rows.shape[1] * cols)
                   // (3 * cols + 2))
         calls.append((rows.shape[0], budget))
-        return numpy_block(rows, points, h2, chunk_size, pool)
+        return numpy_block(rows, points, h2, chunk_size, pool, take)
 
     monkeypatch.setattr(kernels, "_batch_step_numpy_block", spy)
     index = kernels.cell_index(pts, 1.2)
@@ -385,8 +386,13 @@ def test_batch_step_keys_beyond_int32_bitwise(backend, monkeypatch):
     monkeypatch.setattr(kernels, "_keys", spy)
     index = kernels.cell_index(pts, h)
     assert index is not None
-    assert dtypes == [np.int64]
+    # one row block, keyed once per pass of the counting sort, which gives
+    # the cells, offsets and order of a stable argsort
+    assert dtypes == [np.int64, np.int64]
     assert index[6].dtype == np.int32
+    for got, want in zip(index[4:], _argsort_cell_index(pts, h)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
     out, counts = kernels.batch_step(rows, pts, h, 4, index)
     ref, ref_counts = kernels.batch_step(rows, pts, h, 4)
     assert out.tobytes() == ref.tobytes()
@@ -395,9 +401,10 @@ def test_batch_step_keys_beyond_int32_bitwise(backend, monkeypatch):
 
 
 def test_cell_index_200k_keeps_an_int32_order():
-    # the index holds one int32 per point; while it is built, the int32
-    # keys and the argsort's intp order are the largest arrays, so it
-    # rises by at most 0.8 times the points' bytes (0.77 measured)
+    # the index holds one int32 per point, and the counting sort that
+    # builds it holds no n-sized keys or intp order beside it: the peak
+    # is the 0.8 MB order plus a block's scratch, so it rises by at most
+    # 0.45 times the points' bytes (0.31 measured; 0.77 with an argsort)
     points, _, _ = make_blobs(n=200_000, k=10, sigma=0.1, seed=42)
     kernels.cell_index(points.data[:2000], 0.3)
     tracemalloc.start()
@@ -408,7 +415,109 @@ def test_cell_index_200k_keeps_an_int32_order():
         tracemalloc.stop()
     assert index[6].dtype == np.int32
     assert index[4].dtype == index[5].dtype == np.int64
-    assert peak <= 0.8 * points.data.nbytes, peak / points.data.nbytes
+    assert peak <= 0.45 * points.data.nbytes, peak / points.data.nbytes
+
+
+def _argsort_cell_index(points, h):
+    """``cell_index``'s cells, offsets and order from one stable argsort
+    of every point's int64 key, on the grid ``cell_index`` chose."""
+    lo, side, axes, width = kernels.cell_index(points, h)[:4]
+    keys = kernels._keys(points, lo, side, axes, width)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    offsets = np.append(starts, keys.size).astype(np.int64)
+    return (keys[starts], offsets,
+            order.astype(kernels._index_dtype(order.size)))
+
+
+@settings(max_examples=60)
+@given(d=st.integers(1, 3), n=st.one_of(st.integers(1, 60),
+                                        st.integers(4000, 13_000)),
+       h=st.sampled_from([0.1, 0.3, 1.0]), sites=st.integers(1, 50),
+       spread=st.sampled_from([1.0, 20.0]), far=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cell_index_counting_sort_matches_a_stable_argsort(d, n, h, sites,
+                                                           spread, far,
+                                                           seed):
+    # points drawn with repeats from a few sites around the origin, so
+    # cells hold many points and coordinates go negative; n spans one to
+    # four row blocks of 4,096, and half the points moved 2**27 cells
+    # away on every axis make keys beyond int32 when d > 1
+    gen = np.random.default_rng(seed)
+    pool = gen.uniform(-spread, spread, size=(sites, d))
+    pts = pool[gen.integers(0, sites, size=n)]
+    pts += gen.normal(0.0, h / 4, size=pts.shape) * gen.integers(0, 2, n)[:,
+                                                                       None]
+    if far:
+        pts[::2] += 2.0 ** 27 * h
+    index = kernels.cell_index(pts, h)
+    assert index is not None
+    for got, want in zip(index[4:], _argsort_cell_index(pts, h)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_batch_step_chunk_gather_matches_scalar_bitwise(restore_backend,
+                                                        monkeypatch, d,
+                                                        chunk):
+    # the numpy kernel gathers each chunk of a group's candidates from the
+    # points through their indices; single rows at d = 5 gather more
+    # floats than their scan slots hold, which the chunk length absorbs
+    kernels.set_backend("numpy")
+    gen = np.random.default_rng(d)
+    pts = np.concatenate([gen.normal(c, 0.3, size=(300, d))
+                          for c in (-4.0, 0.0, 4.0)])
+    pts[gen.integers(0, pts.shape[0], 40)] *= -1.0
+    rows = np.concatenate([pts[::37] + 0.05, pts[:1] + 6.0])
+    takes = []
+    numpy_block = kernels._batch_step_numpy_block
+
+    def spy(r, p, h2, chunk_size, pool, take=None):
+        takes.append(take is not None and take.size < p.shape[0])
+        return numpy_block(r, p, h2, chunk_size, pool, take)
+
+    monkeypatch.setattr(kernels, "_batch_step_numpy_block", spy)
+    ref, ref_counts = scalar_batch_step(rows, pts, 1.0)
+    out, counts = kernels.batch_step(rows, pts, 1.0, chunk,
+                                     kernels.cell_index(pts, 1.0))
+    assert takes and all(takes)
+    assert out.tobytes() == ref.tobytes()
+    assert np.array_equal(counts, ref_counts)
+
+
+def test_batch_step_200k_copies_no_candidates(restore_backend, monkeypatch):
+    # beside the points and their index, the window step holds one scratch
+    # budget, a group's int32 candidate indices and what grows with the
+    # rows, and numpy may add its two 8,192-element ufunc buffers: 0.70 MB
+    # measured. A copy of a group's candidate points would add 16 bytes
+    # per candidate, 0.32 MB here (0.98 MB measured with it)
+    kernels.set_backend("numpy")
+    points, _, _ = make_blobs(n=200_000, k=10, sigma=0.1, seed=42)
+    index = kernels.cell_index(points.data, 0.3)
+    rows = points.data[::400]
+    sizes = []
+    numpy_block = kernels._batch_step_numpy_block
+
+    def spy(r, p, h2, chunk_size, pool, take=None):
+        assert take.dtype == np.int32
+        sizes.append(take.size)
+        return numpy_block(r, p, h2, chunk_size, pool, take)
+
+    monkeypatch.setattr(kernels, "_batch_step_numpy_block", spy)
+    kernels.batch_step(rows, points.data, 0.3, 4096, index)
+    monkeypatch.undo()
+    kernels.set_backend("numpy")
+    tracemalloc.start()
+    try:
+        kernels.batch_step(rows, points.data, 0.3, 4096, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ((kernels.BLOCK_FLOATS + 2 * 8192) * 8 + 4 * max(sizes)
+                    + 64 * rows.size), (peak, max(sizes))
 
 
 def test_within_reach_copies_nothing():
@@ -471,9 +580,10 @@ def test_batch_step_grid_prunes_candidates(restore_backend, monkeypatch):
     pairs = []
     numpy_block = kernels._batch_step_numpy_block
 
-    def spy(r, p, *rest):
-        pairs.append(r.shape[0] * p.shape[0])
-        return numpy_block(r, p, *rest)
+    def spy(r, p, h2, chunk_size, pool, take=None):
+        cand = p if take is None else p[take]
+        pairs.append(r.shape[0] * cand.shape[0])
+        return numpy_block(r, p, h2, chunk_size, pool, take)
 
     monkeypatch.setattr(kernels, "_batch_step_numpy_block", spy)
     out, counts = kernels.batch_step(rows, points.data, 0.3, 4096,
@@ -496,9 +606,13 @@ def test_batch_step_numba_kernel_gets_grid_blocks(restore_backend,
     def blocks_of(backend, name, step):
         seen = []
 
-        def kernel(r, p, *rest):
-            seen.append((r.tobytes(), p.tobytes(), rest[0]))
-            return step(r, p, *rest)
+        # the numpy kernel gathers its candidates ``p[take]`` chunk by
+        # chunk, and the numba kernel gets them copied once per group
+        def kernel(r, p, h2, *rest):
+            take = rest[2] if len(rest) > 2 else None
+            cand = p if take is None else p[take]
+            seen.append((r.tobytes(), cand.tobytes(), h2))
+            return step(r, p, h2, *rest)
 
         monkeypatch.setattr(kernels, "_backend", backend)
         monkeypatch.setattr(kernels, name, kernel, raising=False)
