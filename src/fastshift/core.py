@@ -245,11 +245,10 @@ def estimate_bandwidth(points: VectorSet, quantile: float = QUANTILE,
     # both fit in BLOCK_FLOATS at any sample size; the k-th smallest of a
     # row is the same value however it is found, so it is found in place
     kth = np.empty(s)
-    pool = {}
+    pool = []
     for block in kernels.row_blocks(s, 2 * s):
         rows = sample[block]
-        d2, diff = kernels.scratch(pool, "d2", 2 * rows.shape[0] * s
-                                   ).reshape(2, rows.shape[0], s)
+        d2, diff = kernels.scratch(pool, 2 * s * len(rows)).reshape(2, -1, s)
         try:
             with np.errstate(over="raise"):
                 kernels.sq_dist(rows[:, None], sample, d2, diff)

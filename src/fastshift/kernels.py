@@ -3,7 +3,7 @@
 :func:`sq_dist` is every module's one numpy squared distance, and its
 docstring the one statement of the coordinate fold order.
 
-The window step (seed-vs-point window reductions) runs one block loop on
+The window step (seed-vs-point window reductions) runs one group loop on
 both backends, and only its inner kernel exists twice: a numba ``@njit``
 loop and a pure numpy fallback. :data:`BACKENDS`, the backends this
 machine can run with the default first, is the one availability rule:
@@ -183,8 +183,9 @@ if HAS_NUMBA:
         return out, counts
 
 
-def scratch(pool, key, size):
-    """The first ``size`` floats of ``pool[key]``, grown when too small.
+def scratch(pool, size):
+    """The first ``size`` floats of the one buffer ``pool`` lists, grown
+    when too small.
 
     One pool serves one call of a block loop (the window step, the labels,
     the bandwidth estimate), so all its blocks reuse the same memory: the
@@ -192,10 +193,10 @@ def scratch(pool, key, size):
     freed blocks, which page-faults when it trims and regrows the heap.
     Growing frees the old buffer before it allocates.
     """
-    if key not in pool or pool[key].size < size:
-        pool[key] = None
-        pool[key] = np.empty(size)
-    return pool[key][:size]
+    if not pool or pool[0].size < size:
+        pool.clear()
+        pool.append(np.empty(size))
+    return pool[0][:size]
 
 
 def _batch_step_numpy_block(rows, points, h2, chunk_size, pool, take=None):
@@ -235,7 +236,7 @@ def _batch_step_numpy_block(rows, points, h2, chunk_size, pool, take=None):
         c = min(chunk, n - lo)
         if lo == 0 or c < chunk:
             # the views change only for a shorter last chunk
-            step = scratch(pool, "step", (slots + d) * c + 2 * m)
+            step = scratch(pool, (slots + d) * c + 2 * m)
             split = 2 * m * (c + 1)
             # slot 0 carries the running sum into the scan; it also keeps
             # the row pitch off a power of two, which made the products
@@ -277,32 +278,25 @@ def _batch_step_numpy_block(rows, points, h2, chunk_size, pool, take=None):
     return np.where(counts[:, None] > 0, acc / denom[:, None], rows), counts
 
 
-def _within_reach(x, h):
-    # NaN compares False; the extremes are read in place, not from a copy
-    reach = 2.0 ** 28 * h
-    return bool(x.max(initial=0.0) <= reach and -x.min(initial=0.0) <= reach)
-
-
 def _index_dtype(size):
     """int32 when every value below ``size`` fits in it, else int64."""
     return np.int32 if size <= 2 ** 31 else np.int64
 
 
 def _keys(x, lo, side, axes, width, dtype=np.int64):
-    """Grid cell key ``major * width + minor`` of every row of ``x``: its
-    cells on the first and the second key axis, the minor one clamped to
-    ``[0, width)``, which only adds neighbour cells; with one key axis the
-    key is the major cell. Built in blocks of 4,096 rows into an array of
-    ``dtype``, so the only n-sized array is the result: a block's few
-    temporaries per key axis stay well under it."""
-    keys = np.empty(x.shape[0], dtype)
-    for block in row_blocks(x.shape[0], 16):
-        cells = [np.floor((x[block, k] - lo[k]) / side).astype(np.int64)
-                 for k in axes]
-        cells[0] *= width
-        if len(cells) > 1:
-            cells[0] += np.clip(cells[1], 0, width - 1, out=cells[1])
-        keys[block] = cells[0]
+    """Grid cell key ``major * width + minor``, in ``dtype``, of every row
+    of ``x``: its cells on the first and the second key axis, each position
+    clipped to ``[-2, 2**30]`` (exact, see :func:`cell_index`) and the
+    minor cell clamped to ``[0, width)``, which only adds neighbour cells;
+    with one key axis the key is the major cell."""
+    # a position that overflows to +-inf is clipped like any far one
+    with np.errstate(over="ignore"):
+        pos = x[:, axes] - lo[axes]
+        np.clip(np.divide(pos, side, out=pos), -2.0, 2.0 ** 30, out=pos)
+    cells = np.floor(pos, out=pos).astype(dtype)
+    keys = cells[:, 0] * width
+    if axes.size > 1:
+        keys += np.clip(cells[:, 1], 0, width - 1)
     return keys
 
 
@@ -318,7 +312,7 @@ def cell_index(points, h):
     ``order[offsets[i]:offsets[i + 1]]``, with ``offsets[-1]`` = n. Only
     ``order`` grows with n beyond the occupied cells. Returns ``None``
     when the grid is not exact: ``h * h`` is not a normal float, or a
-    coordinate exceeds ``2**28 * h`` in magnitude.
+    point's coordinate exceeds ``2**28 * h`` in magnitude or is NaN.
 
     ``order`` comes from a stable counting sort over the cells, a block
     of 4,096 rows at a time. Pass 1 collects the occupied cells and their
@@ -333,20 +327,24 @@ def cell_index(points, h):
     a few times the occupied cells and one block's scratch.
 
     Exactness: the grid drops a point only when it is two or more cells
-    from the row on a key axis. Within that reach a computed cell position
-    is off by under ``2**-23`` cells, so the exact gap on that axis exceeds
-    ``h * (1 + 2**-21)``, and the few roundings in the squared distance
-    cannot bring it down to ``h * h``; a normal ``h * h`` keeps the squares
-    clear of underflow. Each axis then spans at most 2^29 + 2 cells, so
-    keys fit in int64.
+    from the row on a key axis. Every point lies in cells ``[0, 2**29 +
+    2]``, and near them a computed cell position is off by under
+    ``2**-23`` cells, so the exact gap on that axis exceeds ``h * (1 +
+    2**-21)``, and the few roundings in the squared distance cannot bring
+    it down to ``h * h``; a normal ``h * h`` keeps the squares clear of
+    underflow. A row may lie anywhere finite: rounding is monotone, so a
+    cell position at or past ``-2`` or ``2**30`` is more than a whole cell
+    from every point, and so is the bound :func:`_keys` clips it to.
     """
     points = as_matrix(points)
+    # one in-place read per column and extreme; a NaN fails the comparison
+    lo = np.array([col.min(initial=np.inf) for col in points.T])
+    hi = np.array([col.max(initial=-np.inf) for col in points.T])
     if not (np.isfinite(h * h) and h * h >= np.finfo(np.float64).tiny
-            and points.shape[0] and _within_reach(points, h)):
+            and points.shape[0] and hi.max() <= 2.0 ** 28 * h
+            and -lo.min() <= 2.0 ** 28 * h):
         return None
     side = h * (1.0 + 2.0 ** -20)
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
     axes = np.sort(np.argsort(lo - hi, kind="stable")[:2])
     # the extreme point has the last cell on each axis: subtraction,
     # division and floor are monotone
@@ -416,8 +414,8 @@ def batch_step(rows, points, h, chunk_size, index=None):
     Rows with an empty window stay put. Returns ``(new_rows, window_counts)``.
     ``index`` is the ``(lo, side, axes, width, cells, offsets, order)``
     of ``cell_index(points, h)``, which its caller builds once per run, as
-    ``core.lockstep`` does; without it, or for rows beyond its reach, all
-    rows and points share one cell. A cell's rows are stepped over the
+    ``core.lockstep`` does; without it, all rows and points share one
+    cell. Rows must be finite. A cell's rows are stepped over the
     points of its 3 by 3 neighbour cells in index order, found by
     searching ``cells`` and read from ``order`` through ``offsets``, so
     the bytes are those of testing every (row, point) pair. The numpy
@@ -430,20 +428,24 @@ def batch_step(rows, points, h, chunk_size, index=None):
     """
     rows = as_matrix(rows)
     points = as_matrix(points)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{bad.size} non-finite row(s), at index "
+                         f"{bad[:8].tolist()}{' ...' * (bad.size > 8)}")
     h2 = h * h
-    pool = {}
+    pool = []
     out = np.empty_like(rows)
     counts = np.empty(rows.shape[0], np.int64)
     n = points.shape[0]
-    if index is not None and _within_reach(rows, h):
-        width, cells, offsets, point_order = index[3:]
-        key = _keys(rows, *index[:4])
-    else:
+    if index is None:
         # one cell holds every row and point, so each group's ranges cover
         # every point and no point order is needed
         width, cells, offsets, point_order = (1, np.zeros(1, np.int64),
                                               np.array([0, n]), None)
         key = np.zeros(rows.shape[0], np.int64)
+    else:
+        width, cells, offsets, point_order = index[3:]
+        key = _keys(rows, *index[:4])
     # equal bits mean equal keys, so one sort by (key, bits) puts each
     # row's twins, the rows bit for bit equal to it, right after it;
     # comparing bits, not values, keeps 0.0 and -0.0 apart
@@ -486,11 +488,9 @@ def batch_step(rows, points, h, chunk_size, index=None):
                     rows[members], points if take is None else points[take],
                     h2)
             else:
-                # rows are independent, so row blocks cannot change any
-                # value. The numpy kernel's block of m rows over a chunk
-                # of c points holds (3m + d) * c + 2m floats; blocks are
-                # sized so that the whole chunk fits, with the columns
-                # taking at most half
+                # rows are independent, so row blocks change no value;
+                # they are sized so that a whole chunk of the numpy kernel
+                # fits its budget, with the columns taking at most half
                 cols = max(1, min(chunk_size,
                                   n if take is None else take.size,
                                   BLOCK_FLOATS // (2 * rows.shape[1])))
@@ -525,13 +525,13 @@ def nearest_labels(points, modes):
     # one pooled buffer holds a block's distances, its difference and its
     # nearest modes, so all three fit in BLOCK_FLOATS; argmin writes only
     # intp, which the labels take in their own dtype
-    pool = {}
+    pool = []
     # a distance that overflows to inf is farther than any finite one
     with np.errstate(over="ignore"):
         for block in row_blocks(points.shape[0], 2 * m + 1):
             rows = points[block]
             r = rows.shape[0]
-            buf = scratch(pool, "labels", (2 * m + 1) * r)
+            buf = scratch(pool, (2 * m + 1) * r)
             d2, diff = buf[:2 * r * m].reshape(2, r, m)
             nearest = buf[2 * r * m:].view(np.intp)[:r]
             np.argmin(sq_dist(rows[:, None], modes, d2, diff), axis=1,

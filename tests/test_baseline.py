@@ -66,6 +66,14 @@ def test_shift_once_builds_no_cell_index(monkeypatch):
     assert new.tobytes() == ref[0].tobytes() and count == ref_counts[0]
 
 
+def test_shift_once_rejects_a_non_finite_position():
+    pts = VectorSet(rng.normal(size=(20, 2)))
+    for x in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match=r"non-finite row\(s\), at "
+                                             r"index \[0\]"):
+            shift_once(x, pts, h=0.5)
+
+
 def test_shift_once_dimension_mismatch():
     pts = VectorSet(rng.normal(size=(5, 2)))
     with pytest.raises(ValueError):

@@ -99,16 +99,17 @@ def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
 
 
 def test_batch_step_empty_window_keeps_row(backend):
-    # 1e6 is inside the grid's coordinate limit (2**28 * H), so the row gets
-    # an empty candidate set; 1e9 is beyond it and every point is tested.
-    # A row far out on one axis alone gets its minor cell clamped to the
-    # grid, so its candidates are edge cells the kernel rejects
+    # 1e6 is inside the points' reach (2**28 * H) and 1e9 beyond it, where
+    # the row's cell positions are clipped; either way the row gets an
+    # empty candidate set. A row far out on one axis alone gets its minor
+    # cell clamped to the grid, so its candidates are edge cells the
+    # kernel rejects
     index = kernels.cell_index(POINTS, H)
     assert index is not None
-    for coord, gridded in ((1e6, True), (1e9, False)):
+    for coord, inside in ((1e6, True), (1e9, False)):
         far = np.concatenate([np.full((1, 3), coord),
                               np.eye(3) * coord, -np.eye(3) * coord])
-        assert (coord <= 2.0 ** 28 * H) is gridded
+        assert (coord <= 2.0 ** 28 * H) is inside
         out, counts = kernels.batch_step(far, POINTS, H, 64, index)
         assert not counts.any()
         assert out.tobytes() == far.tobytes()
@@ -520,24 +521,90 @@ def test_batch_step_200k_copies_no_candidates(restore_backend, monkeypatch):
                     + 64 * rows.size), (peak, max(sizes))
 
 
-def test_within_reach_copies_nothing():
-    # the extremes are read in place: at 200K points nothing n-sized is
-    # made, and a NaN is never within reach
+def test_cell_index_reach_reads_columns_in_place():
+    # the bounds are read column by column in place: at 200K points out of
+    # reach nothing n-sized is made before the grid is refused. The reach
+    # is inclusive, and a NaN is never within it
     pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(200_000, 2))
-    kernels._within_reach(pts, 0.3)
+    h = 2.0 ** -29
+    kernels.cell_index(pts, h)
     tracemalloc.start()
     try:
-        assert kernels._within_reach(pts, 0.3)
+        assert kernels.cell_index(pts, h) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 4096, peak
     reach = 2.0 ** 28 * 0.3
-    for x, within in (([[reach, -reach]], True),
-                      ([[np.nextafter(reach, np.inf), 0.0]], False),
-                      ([[0.0, -np.nextafter(reach, np.inf)]], False),
-                      ([[0.0, np.nan]], False), (np.empty((0, 2)), True)):
-        assert kernels._within_reach(np.asarray(x), 0.3) is within, x
+    for x, gridded in (([[reach, -reach]], True),
+                       ([[np.nextafter(reach, np.inf), 0.0]], False),
+                       ([[0.0, -np.nextafter(reach, np.inf)]], False),
+                       ([[0.0, np.nan]], False), ([[np.nan, 0.0]], False),
+                       (np.empty((0, 2)), False)):
+        assert (kernels.cell_index(np.asarray(x), 0.3) is not None) is gridded
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_batch_step_far_rows_match_scalar_on_the_grid(data):
+    # rows anywhere finite, out to +-1e300 * h on one axis or on all of
+    # them, are keyed on the grid with their cell positions clipped: the
+    # bytes are the brute-force ones, no numpy warning is raised, and the
+    # kernel gets fewer pairs than rows times points on clustered points
+    d = data.draw(st.integers(1, 3), label="d")
+    h = data.draw(st.sampled_from([1e-3, 0.3, 1.0, 2.5]), label="h")
+    sites = data.draw(st.integers(2, 4), label="sites")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                          label="seed"))
+    # clusters 8 h apart on every axis, so no row's cells hold every point
+    centres = np.repeat(np.arange(sites)[:, None] * 8.0 * h, d, axis=1)
+    pts = centres[gen.integers(0, sites, 40)] + gen.uniform(-h, h, (40, d))
+    m = data.draw(st.integers(1, 8), label="m")
+    rows = pts[gen.integers(0, pts.shape[0], m)] + gen.uniform(-h, h, (m, d))
+    # in units of h: near the points and the -2 clip bound, around the
+    # 2**30 one, and far beyond it
+    scale = st.one_of(st.floats(0.0, 4.0), st.floats(2.0 ** 27, 2.0 ** 31),
+                      st.floats(2.0 ** 31, 1e300))
+    for r in range(m):
+        far = data.draw(scale, label="far") * h * data.draw(
+            st.sampled_from([-1.0, 1.0]), label="sign")
+        if data.draw(st.booleans(), label="every axis"):
+            rows[r] = far
+        else:
+            rows[r, data.draw(st.integers(0, d - 1), label="axis")] = far
+    chunk = data.draw(st.sampled_from([1, 7, 4096]), label="chunk")
+    index = kernels.cell_index(pts, h)
+    assert index is not None
+    pairs = []
+    numpy_block = kernels._batch_step_numpy_block
+
+    def spy(r, p, h2, chunk_size, pool, take=None):
+        pairs.append(r.shape[0] * (p.shape[0] if take is None else take.size))
+        return numpy_block(r, p, h2, chunk_size, pool, take)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(kernels, "_backend", "numpy")
+        mp.setattr(kernels, "_batch_step_numpy_block", spy)
+        warnings.simplefilter("error")
+        out, counts = kernels.batch_step(rows, pts, h, chunk, index)
+    # the reference's squares of far rows overflow to inf, as they should
+    with np.errstate(over="ignore"):
+        ref, ref_counts = scalar_batch_step(rows, pts, h)
+    assert out.tobytes() == ref.tobytes()
+    assert np.array_equal(counts, ref_counts)
+    assert sum(pairs) < m * pts.shape[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batch_step_rejects_non_finite_rows(backend, bad):
+    # a non-finite row has no window mean: it is named up front, with or
+    # without an index, rather than met as an overflow after the sweep
+    rows = ROWS.copy()
+    rows[[3, 17], 1] = bad
+    for index in INDEXES:
+        with pytest.raises(ValueError, match=r"2 non-finite row\(s\), at "
+                                             r"index \[3, 17\]"):
+            kernels.batch_step(rows, POINTS, H, 64, index)
 
 
 def test_batch_step_overflow_raises_only_for_a_wrong_mean(backend):
@@ -647,12 +714,12 @@ def test_row_blocks_bound_every_buffer():
 
 
 def test_scratch_growth_never_holds_two_buffers():
-    pool = {}
+    pool = []
     tracemalloc.start()
     try:
-        for size in (1_000, 30_000, 60_000):
-            buf = kernels.scratch(pool, "d2", size)
-            assert buf.size == size
+        for size in (1_000, 30_000, 60_000, 20_000):
+            buf = kernels.scratch(pool, size)
+            assert buf.size == size and len(pool) == 1
             del buf
         _, peak = tracemalloc.get_traced_memory()
     finally:
