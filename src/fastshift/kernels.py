@@ -30,9 +30,11 @@ The window step tests each row only against the points of the cells
 around it, found through the :func:`cell_index` that ``core.lockstep``
 sorts the points into once per run: the point order plus, for each
 occupied cell only, its key and where its points start in that order.
-A stable counting sort over the cells builds that order a block of rows
-at a time, so the index holds one int32 per point and no other n-sized
-array. Rows and points share one cell key.
+One in-place sort of every point's key finds the occupied cells, and a
+stable counting sort over them builds that order a block of rows at a
+time; the keys are freed before the order exists, so the index holds one
+int32 per point and no other n-sized array. Rows and points share one
+cell key.
 One sort of the rows by (key, bits) makes the blocks, one per key, and
 steps each set of bit-identical rows once, since a row's result is a
 function of its bits alone. The grid drops only points the kernel would
@@ -283,9 +285,9 @@ def _index_dtype(size):
     return np.int32 if size <= 2 ** 31 else np.int64
 
 
-def _keys(x, lo, side, axes, width, dtype=np.int64):
-    """Grid cell key ``major * width + minor``, in ``dtype``, of every row
-    of ``x``: its cells on the first and the second key axis, each position
+def _keys(x, lo, side, axes, width):
+    """Grid cell key ``major * width + minor``, as int64, of every row of
+    ``x``: its cells on the first and the second key axis, each position
     clipped to ``[-2, 2**30]`` (exact, see :func:`cell_index`) and the
     minor cell clamped to ``[0, width)``, which only adds neighbour cells;
     with one key axis the key is the major cell."""
@@ -293,7 +295,7 @@ def _keys(x, lo, side, axes, width, dtype=np.int64):
     with np.errstate(over="ignore"):
         pos = x[:, axes] - lo[axes]
         np.clip(np.divide(pos, side, out=pos), -2.0, 2.0 ** 30, out=pos)
-    cells = np.floor(pos, out=pos).astype(dtype)
+    cells = np.floor(pos, out=pos).astype(np.int64)
     keys = cells[:, 0] * width
     if axes.size > 1:
         keys += np.clip(cells[:, 1], 0, width - 1)
@@ -315,16 +317,17 @@ def cell_index(points, h):
     point's coordinate exceeds ``2**28 * h`` in magnitude or is NaN.
 
     ``order`` comes from a stable counting sort over the cells, a block
-    of 4,096 rows at a time. Pass 1 collects the occupied cells and their
-    counts from each block's keys. Pass 2 computes each block's keys
-    again, ranks them against ``cells`` and writes the block's indices at
-    each cell's next free place in ``order``, so a cell lists its points
-    in index order. Dtypes: the point keys are int32 while every key
-    (below the number of major cells times ``width``) fits in it, else
-    int64, and ``order`` is int32 while n fits in it, else int64;
-    ``cells`` and ``offsets`` are int64. No n-sized keys or intp array
-    exist: at 200K points the build holds the 0.8 MB ``order``, arrays
-    a few times the occupied cells and one block's scratch.
+    of 4,096 rows at a time. Pass 1 sorts every point's key in place in
+    one n-sized array, int32 while every key (below the number of major
+    cells times ``width``) fits in it, else int64, and reads ``cells``
+    and ``offsets`` from its runs. Pass 2, once those keys are freed,
+    computes each block's keys again, ranks them against ``cells`` and
+    writes the block's indices at each cell's next free place in
+    ``order``, so a cell lists its points in index order. ``order`` is
+    int32 while n fits in it, else int64; ``cells`` and ``offsets`` are
+    int64. At 200K points the build holds the 0.8 MB keys (1.6 MB when
+    int64), then the 0.8 MB ``order``, besides arrays a few times the
+    occupied cells and one block's scratch.
 
     Exactness: the grid drops a point only when it is two or more cells
     from the row on a key axis. Every point lies in cells ``[0, 2**29 +
@@ -350,34 +353,23 @@ def cell_index(points, h):
     # division and floor are monotone
     last = np.floor((hi - lo) / side)
     width = int(last[axes[1]]) + 1 if axes.size > 1 else 1
-    grid = (lo, side, axes, width,
-            _index_dtype((int(last[axes[0]]) + 1) * width))
-    blocks = list(row_blocks(points.shape[0], 16))
-    # pass 1: the occupied cells and their counts. A block's distinct keys
-    # wait until they outnumber the cells merged so far, so the merges cost
-    # O(n log n) in all and hold a few times the occupied cells at most
-    cells, counts, waiting = np.empty(0, grid[4]), np.empty(0, np.int64), []
-    for i, block in enumerate(blocks):
-        waiting.append(np.unique(_keys(points[block], *grid),
-                                 return_counts=True))
-        if (i + 1 == len(blocks)
-                or sum(k.size for k, _ in waiting) > cells.size):
-            merged = np.concatenate([cells, *(k for k, _ in waiting)])
-            merged.sort()
-            merged = merged[np.concatenate(([True],
-                                            merged[1:] != merged[:-1]))]
-            total = np.zeros(merged.size, np.int64)
-            # each list's keys are distinct, so no place is added to twice
-            for k, c in [(cells, counts), *waiting]:
-                total[merged.searchsorted(k)] += c
-            cells, counts, waiting = merged, total, []
-    offsets = np.zeros(cells.size + 1, np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    cells = cells.astype(np.int64)
-    del counts
+    grid = (lo, side, axes, width)
+    n = points.shape[0]
+    blocks = list(row_blocks(n, 16))
+    # pass 1: every point's key in the narrowest dtype, sorted in place;
+    # its runs are the occupied cells
+    keys = np.empty(n, _index_dtype((int(last[axes[0]]) + 1) * width))
+    for block in blocks:
+        keys[block] = _keys(points[block], *grid)
+    keys.sort()
+    # a run starts where a key differs from the one before it
+    offsets = np.concatenate(
+        ([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1, [n]), dtype=np.int64)
+    cells = keys[offsets[:-1]].astype(np.int64)
+    del keys
     # pass 2: each block's points, stably sorted by cell, go to their
     # cells' next free places
-    order = np.empty(points.shape[0], _index_dtype(points.shape[0]))
+    order = np.empty(n, _index_dtype(n))
     fill = offsets[:-1].copy()
     block_rows = blocks[0].stop
     for block in blocks:

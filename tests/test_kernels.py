@@ -403,9 +403,10 @@ def test_batch_step_keys_beyond_int32_bitwise(backend, monkeypatch):
 
 def test_cell_index_200k_keeps_an_int32_order():
     # the index holds one int32 per point, and the counting sort that
-    # builds it holds no n-sized keys or intp order beside it: the peak
-    # is the 0.8 MB order plus a block's scratch, so it rises by at most
-    # 0.45 times the points' bytes (0.31 measured; 0.77 with an argsort)
+    # builds it holds no intp order: its n-sized int32 keys are freed
+    # before the order exists, so the peak is the 0.8 MB order plus a
+    # block's scratch, and it rises by at most 0.45 times the points'
+    # bytes (0.34 measured; 0.77 with an argsort)
     points, _, _ = make_blobs(n=200_000, k=10, sigma=0.1, seed=42)
     kernels.cell_index(points.data[:2000], 0.3)
     tracemalloc.start()
@@ -417,6 +418,35 @@ def test_cell_index_200k_keeps_an_int32_order():
     assert index[6].dtype == np.int32
     assert index[4].dtype == index[5].dtype == np.int64
     assert peak <= 0.45 * points.data.nbytes, peak / points.data.nbytes
+
+
+@pytest.mark.parametrize("case, bound", [
+    # 200K uniform points at h = 1e-3, about one per cell (195,094 cells):
+    # pass 2's order, fill, cells and offsets set the peak, 1.83 times
+    # the points' bytes (2.57 with the merged per-block uniques)
+    ("one_point_per_cell", 1.92),
+    # two tight blobs 2**27 cells apart, 9 cells: the keys need int64, so
+    # pass 1 holds 8 bytes per point and peaks at 0.57 times the points
+    # (0.34 with the merged per-block uniques, the one costlier case)
+    ("int64_keys", 0.59),
+])
+def test_cell_index_200k_build_peak(case, bound):
+    # bounds are the measured peak plus 5%
+    gen = np.random.default_rng(0)
+    if case == "one_point_per_cell":
+        h, pts = 1e-3, gen.uniform(-1.0, 1.0, size=(200_000, 2))
+    else:
+        h, pts = 0.3, gen.normal(0.0, 0.05, size=(200_000, 2))
+        pts[::2] += 2.0 ** 27 * h
+    kernels.cell_index(pts[:2000], h)
+    tracemalloc.start()
+    try:
+        index = kernels.cell_index(pts, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index[6].dtype == np.int32
+    assert peak <= bound * pts.nbytes, peak / pts.nbytes
 
 
 def _argsort_cell_index(points, h):
@@ -437,19 +467,27 @@ def _argsort_cell_index(points, h):
                                         st.integers(4000, 13_000)),
        h=st.sampled_from([0.1, 0.3, 1.0]), sites=st.integers(1, 50),
        spread=st.sampled_from([1.0, 20.0]), far=st.booleans(),
+       sparse=st.one_of(st.none(), st.integers(4097, 16_384)),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_cell_index_counting_sort_matches_a_stable_argsort(d, n, h, sites,
                                                            spread, far,
-                                                           seed):
+                                                           sparse, seed):
     # points drawn with repeats from a few sites around the origin, so
     # cells hold many points and coordinates go negative; n spans one to
-    # four row blocks of 4,096, and half the points moved 2**27 cells
-    # away on every axis make keys beyond int32 when d > 1
+    # four row blocks of 4,096. A ``sparse`` draw is that many points,
+    # two to four row blocks, uniform over a box of about 8 cells per
+    # point on the key axes, so most occupied cells hold one point and
+    # the sorted keys are nearly all distinct. Half the points moved
+    # 2**27 cells away on every axis make keys beyond int32 when d > 1
     gen = np.random.default_rng(seed)
-    pool = gen.uniform(-spread, spread, size=(sites, d))
-    pts = pool[gen.integers(0, sites, size=n)]
-    pts += gen.normal(0.0, h / 4, size=pts.shape) * gen.integers(0, 2, n)[:,
-                                                                       None]
+    if sparse is None:
+        pool = gen.uniform(-spread, spread, size=(sites, d))
+        pts = pool[gen.integers(0, sites, size=n)]
+        pts += gen.normal(0.0, h / 4, size=pts.shape) * gen.integers(
+            0, 2, n)[:, None]
+    else:
+        box = h * (8 * sparse) ** (1 / min(d, 2)) / 2
+        pts = gen.uniform(-box, box, size=(sparse, d))
     if far:
         pts[::2] += 2.0 ** 27 * h
     index = kernels.cell_index(pts, h)
