@@ -146,17 +146,46 @@ class ClusterResult:
     distance_evals: int
 
 
+# The seeded engine's step extrapolation (see lockstep). Measured with
+# direct run_adaptive calls on blob20k_auto's data (20,000 points in one
+# blob, estimated h, data seed 42; numpy backend, 2 CPUs): a cap of 4 ends
+# in 9 sweeps and 16.5M distance evaluations, against 20.4M at a cap of 2,
+# 17.3M at 8 and 36.9M in 17 sweeps without extrapolation. Cosine floors
+# of 0.8, 0.9 and 0.95 moved the evaluations by under 1% there and on the
+# other benchmark workloads' data.
+EXTRAPOLATE_COS = 0.9
+EXTRAPOLATE_MAX = 4.0
+
+
 def lockstep(start, points: VectorSet, cfg: ShiftConfig, stop_fraction: float,
-             converged=None, index=None):
+             converged=None, index=None, *, steps=None):
     """Walk every row of ``start`` uphill in lockstep window-mean sweeps.
 
-    Each sweep moves every unconverged walker to the mean of the points
-    within ``cfg.bandwidth_h`` of it; a walker whose move is at most
-    ``conv_tol * bandwidth_h`` is converged and stays put from then on, so
-    each walker's iterates are those it would take alone. Sweeps end when
-    no walker is moving, at ``cfg.max_iter``, or once converged walkers
-    make up at least ``stop_fraction`` of all of them; no sweep runs when
-    that already holds at the start.
+    Each sweep moves every unconverged walker from x to the mean m(x) of
+    the points within ``cfg.bandwidth_h`` of it; a walker whose step
+    s = m(x) - x is at most ``conv_tol * bandwidth_h`` long is converged,
+    stops at m(x) and stays put from then on, so each walker's iterates
+    are those it would take alone. Sweeps end when no walker is moving, at
+    ``cfg.max_iter``, or once converged walkers make up at least
+    ``stop_fraction`` of all of them; no sweep runs when that already
+    holds at the start.
+
+    ``steps``, when given, holds each walker's previous step s' (a zero
+    row before its first) and turns on the seeded engine's extrapolation.
+    A moving walker whose step agrees with s', with cos(s, s') >=
+    ``EXTRAPOLATE_COS`` and r = |s| / |s'| < 1, moves to x + e s with
+    e = min(1 / (1 - r), ``EXTRAPOLATE_MAX``): the limit of a geometric
+    series of steps of ratio r, capped. Both tests compare squared
+    quantities, and a cosine test whose products overflow does not hold;
+    a jump that is not finite falls back to m(x). Every other walker
+    moves to m(x), so a converged walker still ends on a window mean
+    whose step was within the tolerance. Each sweep writes every moving
+    walker's s into ``steps``, shortened to the s' it replaces when
+    longer. So s' is never longer than any step the walker has taken, a
+    jump needs a step shorter than all of them, and a walker cannot cycle
+    through a jump, as an unshortened s' let it (a 1-D walk of 8 points
+    did). Without ``steps`` every walker takes the plain step, as the
+    baseline engine does.
 
     ``converged`` flags the rows of ``start`` that have already converged
     (default: none), so a caller can continue an earlier walk. ``index`` is
@@ -164,7 +193,8 @@ def lockstep(start, points: VectorSet, cfg: ShiftConfig, stop_fraction: float,
     already has it; otherwise it is built here, once for every sweep.
 
     Returns ``(positions, converged, sweeps, evals)``; ``evals`` is the sum
-    over sweeps of (moving walkers) * n. The arguments are not modified.
+    over sweeps of (moving walkers) * n. Of the arguments, only ``steps``
+    is modified.
     """
     positions = np.array(start, dtype=np.float64)
     n_walkers = positions.shape[0]
@@ -180,15 +210,58 @@ def lockstep(start, points: VectorSet, cfg: ShiftConfig, stop_fraction: float,
            and int(converged.sum()) / n_walkers < stop_fraction):
         idx = np.flatnonzero(~converged)
         rows = positions[idx]
-        moved, _ = kernels.batch_step(rows, points.data, cfg.bandwidth_h,
-                                      kernels.CHUNK_POINTS, index)
+        moved = kernels.batch_step(rows, points.data, cfg.bandwidth_h,
+                                   kernels.CHUNK_POINTS, index)[0]
         evals += idx.size * points.n
         sweeps += 1
-        # a step whose square overflows to inf is not converged, as it is
-        with np.errstate(over="ignore"):
-            converged[idx] = kernels.sq_dist(moved, rows) <= thresh2
+        converged[idx] = _land(rows, moved, thresh2, steps, idx)
         positions[idx] = moved
+        # this sweep's rows and means die here, so the next window step's
+        # scratch is not stacked on them
+        del rows, moved
     return positions, converged, sweeps, evals
+
+
+def _land(rows, moved, thresh2, steps, idx):
+    """Where lockstep's walkers at ``rows``, with window means ``moved``,
+    land: ``moved`` takes each jump, ``steps[idx]`` each step, and the
+    walkers' converged flags are returned. ``rows`` is overwritten."""
+    # a step whose square overflows to inf is not converged, as it is
+    with np.errstate(over="ignore"):
+        step2 = kernels.sq_dist(moved, rows)
+    done = step2 <= thresh2
+    if steps is None:
+        return done
+    # s . s' and |s'|^2 fold the coordinates in ascending order into a
+    # zero start, as sq_dist folds |s|^2, so one walker alone repeats every
+    # bit. Steps reach h, whose square may overflow: an overflowed product
+    # is inf, and inf - inf or inf * 0 is nan, which fails every test
+    dot = np.zeros(len(idx))
+    prev2 = np.zeros(len(idx))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(rows.shape[1]):
+            prev = steps[idx, k]
+            dot += (moved[:, k] - rows[:, k]) * prev
+            prev2 += prev * prev
+        bound = EXTRAPOLATE_COS ** 2 * step2 * prev2
+        jump = np.flatnonzero(~done & (dot > 0) & (bound < np.inf)
+                              & (dot * dot >= bound) & (step2 < prev2))
+        # e = min(1 / (1 - r), cap), written so that r rounded to 1 gives
+        # the cap rather than a division by zero
+        e = 1.0 / np.maximum(1.0 - np.sqrt(step2[jump] / prev2[jump]),
+                             1.0 / EXTRAPOLATE_MAX)
+        x = rows[jump]
+        far = x + e[:, None] * (moved[jump] - x)
+        # keep s, shortened to s' when longer: s' stays as short as the
+        # shortest step so far, so each jump sets a new record and no
+        # cycle of walker states can contain one
+        s = np.subtract(moved, rows, out=rows)
+        longer = np.flatnonzero((step2 > prev2) & (prev2 > 0))
+        s[longer] *= np.sqrt(prev2[longer] / step2[longer])[:, None]
+    steps[idx] = s
+    finite = np.isfinite(far).all(axis=1)
+    moved[jump[finite]] = far[finite]
+    return done
 
 
 def kde_value(x, points: VectorSet, h: float) -> float:

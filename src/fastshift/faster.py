@@ -3,11 +3,16 @@
 Instead of iterating from every point, a small uniform sample of seeds
 walks to the modes; the whole batch advances together, each sweep testing
 every unconverged seed against the points of the grid cells around it
-(:func:`fastshift.kernels.cell_index`), in fixed index order.
+(:func:`fastshift.kernels.cell_index`), in fixed index order. Each seed
+keeps its previous step, and while its steps agree in direction and
+shrink, :func:`fastshift.core.lockstep` extrapolates them toward their
+limit instead of taking one window-mean step per sweep; a seed on a broad,
+flat climb converges in about half the sweeps.
 Once a gamma fraction of the batch has converged the rest are discarded,
 and every input point is then labeled by its nearest surviving mode. An
 adaptive controller's retry continues the previous attempt's
-:class:`Walkers` and adds seeds, instead of starting over.
+:class:`Walkers`, steps included, and adds seeds, instead of starting
+over.
 """
 
 from __future__ import annotations
@@ -35,14 +40,16 @@ class Walkers:
     ``index`` is the points' ``kernels.cell_index``, built once per
     controller call. ``seeds`` are the indices of the start points in draw
     order, empty until an attempt has run; ``positions`` is where each
-    walker stands and ``converged`` whether it has converged, both None
-    until then.
+    walker stands, ``converged`` whether it has converged and ``steps``
+    its previous step as ``core.lockstep`` keeps it to extrapolate from
+    (zero before its first); all three are None until then.
     """
 
     index: tuple | None
     seeds: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
     positions: np.ndarray | None = None
     converged: np.ndarray | None = None
+    steps: np.ndarray | None = None
 
 
 def seed_indices(n: int, N: int, rng_seed: int,
@@ -92,12 +99,16 @@ def run_faster(points: VectorSet, cfg: ShiftConfig,
     seeds = seed_indices(points.n, cfg.n_initial, cfg.rng_seed, carry.seeds)
     start = points.data[seeds]
     flags = np.zeros(seeds.size, dtype=bool)
+    steps = np.zeros_like(start)
     if carry.positions is not None:
         start[:carry.seeds.size] = carry.positions
         flags[:carry.seeds.size] = carry.converged
+        steps[:carry.seeds.size] = carry.steps
     positions, converged, sweeps, evals = lockstep(
-        start, points, cfg, cfg.early_stop_gamma, flags, carry.index)
-    carry.seeds, carry.positions, carry.converged = seeds, positions, converged
+        start, points, cfg, cfg.early_stop_gamma, flags, carry.index,
+        steps=steps)
+    carry.seeds, carry.positions = seeds, positions
+    carry.converged, carry.steps = converged, steps
     # survivors only: stragglers are dropped, not merged
     if not converged.any():
         raise NoConvergedSeedsError("no seeds converged")

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import fastshift
 from fastshift import ConfigError, GenSpec, ShiftConfig, VectorSet, gen_blobs
 from fastshift import kernels, shift_once
+from fastshift.core import EXTRAPOLATE_COS, EXTRAPOLATE_MAX
 
 # numba's first-call JIT latency trips hypothesis' default deadline
 settings.register_profile(
@@ -147,11 +149,13 @@ def scalar_greedy_prune(cands, h):
 
 @dataclass(frozen=True)
 class PointTrajectory:
-    """End state of one walker: final position, convergence flag, step count."""
+    """End state of one walker: final position, convergence flag, step
+    count, and where each step started, when the walker records it."""
 
     current: np.ndarray
     converged: bool
     iterations: int
+    starts: np.ndarray | None = None
 
 
 def follow_point(x0, points: VectorSet, cfg: ShiftConfig) -> PointTrajectory:
@@ -170,6 +174,52 @@ def follow_point(x0, points: VectorSet, cfg: ShiftConfig) -> PointTrajectory:
             converged = True
             break
     return PointTrajectory(current=pos, converged=converged, iterations=iterations)
+
+
+def follow_seeded(x0, points: VectorSet, cfg: ShiftConfig,
+                  sweeps: int) -> PointTrajectory:
+    """Independent one-walker reference for the seeded engine's walk: at
+    most ``sweeps`` window-mean steps by ``scalar_batch_step``, each taken
+    as ``core.lockstep`` takes it with ``steps``. The walker keeps its own
+    previous step s', zero before its first and shortened to the s' it
+    replaces when longer. Let s = m(x) - x: at
+    |s| <= conv_tol * h it stops at m(x), converged; while
+    cos(s, s') >= EXTRAPOLATE_COS and r = |s| / |s'| < 1 it moves to
+    x + min(1 / (1 - r), EXTRAPOLATE_MAX) s, unless that is not finite;
+    otherwise to m(x). Sums fold coordinates in ascending order, and the
+    cosine test compares squares, counting an overflowed product as a
+    failed test."""
+    h = cfg.bandwidth_h
+    thresh2 = (cfg.conv_tol * h) ** 2
+    pos = [float(v) for v in x0]
+    prev = [0.0] * len(pos)
+    starts = []
+    while len(starts) < sweeps:
+        starts.append(pos)
+        mean = [float(v)
+                for v in scalar_batch_step([pos], points.data, h)[0][0]]
+        s = [a - b for a, b in zip(mean, pos)]
+        step2 = dot = prev2 = 0.0
+        for k in range(len(s)):
+            step2 += s[k] * s[k]
+            dot += s[k] * prev[k]
+            prev2 += prev[k] * prev[k]
+        x, pos, prev = pos, mean, s
+        if step2 > prev2 > 0:
+            prev = [v * math.sqrt(prev2 / step2) for v in s]
+        if step2 <= thresh2:
+            return PointTrajectory(np.array(pos), True, len(starts),
+                                   np.array(starts))
+        bound = EXTRAPOLATE_COS ** 2 * step2 * prev2
+        if dot > 0 and bound < math.inf and dot * dot >= bound \
+                and step2 < prev2:
+            r = math.sqrt(step2 / prev2)
+            e = (EXTRAPOLATE_MAX if r >= 1
+                 else min(1 / (1 - r), EXTRAPOLATE_MAX))
+            far = [a + e * b for a, b in zip(x, s)]
+            if all(map(math.isfinite, far)):
+                pos = far
+    return PointTrajectory(np.array(pos), False, sweeps, np.array(starts))
 
 
 def euclidean_distance(a, b) -> float:

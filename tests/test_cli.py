@@ -942,11 +942,11 @@ def pinned_data(tmp_path_factory):
     ("baseline", ("--bandwidth", "0.3"),
      "615e64599d095c0375361f43866d6fa9919e757abd7946a35226c98101f202db"),
     ("faster", ("--bandwidth", "0.3"),
-     "4e139d083a41ed07b0feab67d8ef2a68e1785ddc14837d96c3c0c47b931cd54b"),
+     "43f61ca8bb5237296ee13442f820d21294869227d2bd0dac7731323d577b602a"),
     ("adaptive", ("--bandwidth", "0.3"),
-     "fa100ddc9f546304263b930ecf8da1c9c3cc4f49f54ff11b543615f4678944c7"),
+     "663feb223b45841f5145a57fe0e792f1472228b2412df1c2e3f6116543ad322b"),
     ("adaptive", (),
-     "d9a390db942706fcb1fe05746799af1c1503ba9b80588a4db880a780639a7d84"),
+     "f1e8c85f61302d38cd2f0271affa014ab8a336111d1b61f4915a2325f423166b"),
 ], ids=["baseline", "faster", "adaptive", "adaptive-estimated"])
 def test_cluster_bytes_are_pinned(pinned_data, tmp_path, method, extra,
                                   digest):

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from fastshift import (
     NoConvergedSeedsError,
     ShiftConfig,
     VectorSet,
+    estimate_bandwidth,
     kde_value,
     lockstep,
+    prune_modes,
     rand_index,
     run_adaptive,
     run_baseline,
@@ -21,10 +24,17 @@ from fastshift import (
     sample_seeds,
     shift_once,
 )
-from fastshift import kernels
+from fastshift import controller, kernels
+from fastshift.datagen import KINDS, GenSpec, generate
 from fastshift.faster import Walkers, seed_indices
 
-from conftest import OTHER_DIMS, clustered_points, make_blobs
+from conftest import (
+    OTHER_DIMS,
+    clustered_points,
+    follow_seeded,
+    make_blobs,
+    scalar_batch_step,
+)
 
 rng = np.random.default_rng(21)
 
@@ -215,6 +225,96 @@ def test_early_stop_boundaries():
     assert (sweeps, evals) == (2, 106 * pts.n)
 
 
+def test_extrapolation_overflow_takes_the_window_mean():
+    # steps near 1e154 long in both columns: s . s' squared and
+    # |s|^2 |s'|^2 overflow, while |s|, |s'| and the jump stay finite. An
+    # overflowed cosine test does not hold, so the walker takes m(x)
+    # without a warning, where a test on the overflowed products would
+    # pass and jump to x + 4 s
+    pts = VectorSet(np.array([[5e153, 5e153], [-1.5e154, -1.5e154]]))
+    cfg = ShiftConfig(bandwidth_h=1e154, max_iter=1)
+    steps = np.array([[6e153, 6e153]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        positions, converged, sweeps, _ = lockstep(
+            np.zeros((1, 2)), pts, cfg, 1.0, steps=steps)
+    assert (sweeps, converged.tolist()) == (1, [False])
+    assert positions.tolist() == [[5e153, 5e153]]
+    assert steps.tolist() == [[5e153, 5e153]]
+
+
+def test_extrapolating_walker_does_not_cycle():
+    # a 1-D walk that jumps past the mode, turns back and jumps again: with
+    # s' as the plain previous step it cycles through the same four
+    # positions until max_iter; s' shortened to the shortest step so far
+    # lets no jump repeat, and the walker converges
+    pts = VectorSet(np.array([[-0.375], [-0.375], [-0.375], [-0.125], [0.0],
+                              [-0.625], [0.0], [0.25]]))
+    cfg = ShiftConfig(bandwidth_h=0.5)
+    _, converged, sweeps, _ = lockstep(np.array([[0.25]]), pts, cfg, 1.0,
+                                       steps=np.zeros((1, 1)))
+    assert converged.tolist() == [True] and sweeps <= 10
+
+
+@given(data=st.data())
+def test_seeded_walkers_equal_scalar_walkers(data):
+    # a controller forced to retry until every point walks: each walker,
+    # continued across retries, takes bit for bit the steps one scalar
+    # walker with the same rule takes, and ends where it ends
+    d = data.draw(st.sampled_from((1, 2, 3)), label="d")
+    pts = data.draw(clustered_points(d), label="points")
+    cfg = ShiftConfig(
+        bandwidth_h=data.draw(st.sampled_from([0.5, 1.0, 2.5]), label="h"),
+        early_stop_gamma=data.draw(st.sampled_from([0.6, 0.8, 1.0]),
+                                   label="gamma"),
+        n_initial=data.draw(st.integers(1, 8), label="N"),
+        rng_seed=data.draw(st.integers(0, 2 ** 64 - 1), label="seed"))
+    attempts = []
+
+    def retry_until_all_walk(state, M, n):
+        N = min(state.N, n)
+        return ("retry_now", min(2 * N, n)) if N < n else ("accept", N)
+
+    def attempt(points, cfg, walkers):
+        res = run_faster(points, cfg, walkers=walkers)
+        attempts.append((walkers, walkers.seeds.size, res.iterations_run))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "CHUNK_POINTS",
+                   data.draw(st.sampled_from([1, 7, 4096]), label="chunk"))
+        mp.setattr(controller, "next_seed_count", retry_until_all_walk)
+        mp.setattr(controller, "run_faster", attempt)
+        rows_seen = _spy_batch_step(mp, record=lambda rows: rows.copy())
+        run_adaptive(pts, cfg)
+    walkers = attempts[-1][0]
+    assert walkers.seeds.size == pts.n
+    # walker i joins at attempt j, whose first sweep is first[j], and its
+    # k-th step starts from the k-th row it hands batch_step
+    first = np.cumsum([0] + [s for _, _, s in attempts])
+    want = [[] for _ in rows_seen]
+    thresh2 = (cfg.conv_tol * cfg.bandwidth_h) ** 2
+    joined = 0
+    for j, (_, size, _) in enumerate(attempts):
+        for i in range(joined, size):
+            ref = follow_seeded(pts.data[walkers.seeds[i]], pts, cfg,
+                                int(first[-1] - first[j]))
+            assert walkers.positions[i].tobytes() == ref.current.tobytes()
+            assert walkers.converged[i] == ref.converged
+            for k, start in enumerate(ref.starts):
+                want[first[j] + k].append(start)
+            if ref.converged:
+                # today's test: the end is the window mean of where the
+                # last step started, within conv_tol * h of it
+                mean, _ = scalar_batch_step(ref.starts[-1:], pts.data,
+                                            cfg.bandwidth_h)
+                assert mean[0].tobytes() == ref.current.tobytes()
+                assert kernels.sq_dist(mean, ref.starts[-1:])[0] <= thresh2
+        joined = size
+    assert [r.tobytes() for r in rows_seen] == \
+        [np.array(w).tobytes() for w in want]
+
+
 # ----------------------------------------------------------------- run_faster
 
 def test_exhaustive_seeds_match_baseline_exactly():
@@ -230,22 +330,30 @@ def test_exhaustive_seeds_match_baseline_exactly():
 
 
 @given(data=st.data())
-def test_exhaustive_seeds_match_baseline_in_other_dims(data):
+def test_exhaustive_seeds_match_seeded_walkers_in_other_dims(data):
+    # every point walks in both engines, but only the seeded one
+    # extrapolates: at every chunk size the baseline gives its own bytes,
+    # and the seeded engine the modes of the scalar seeded walks
     d = data.draw(st.sampled_from(OTHER_DIMS), label="d")
     pts = data.draw(clustered_points(d), label="points")
     h = data.draw(st.sampled_from([0.5, 1.0, 2.5]), label="h")
     cfg = ShiftConfig(bandwidth_h=h, early_stop_gamma=1.0)
-    runs = []
+    walks = [follow_seeded(x, pts, cfg, cfg.max_iter) for x in pts.data]
+    want = prune_modes([w.current for w in walks if w.converged], h)
+    bases, fasts = [], []
     for chunk in (1, 7, 4096):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "CHUNK_POINTS", chunk)
-            runs += [run_baseline(pts, cfg),
-                     run_faster(pts, replace(cfg, n_initial=pts.n))]
-    first = runs[0]
-    for res in runs[1:]:
-        assert res.mode_set.modes.tobytes() == first.mode_set.modes.tobytes()
-        assert np.array_equal(res.mode_set.support, first.mode_set.support)
-        assert np.array_equal(res.labels, first.labels)
+            bases.append(run_baseline(pts, cfg))
+            fasts.append(run_faster(pts, replace(cfg, n_initial=pts.n)))
+    for first, *rest in (bases, fasts):
+        for res in rest:
+            assert (res.mode_set.modes.tobytes()
+                    == first.mode_set.modes.tobytes())
+            assert np.array_equal(res.mode_set.support, first.mode_set.support)
+            assert np.array_equal(res.labels, first.labels)
+    assert fasts[0].mode_set.modes.tobytes() == want.modes.tobytes()
+    assert np.array_equal(fasts[0].mode_set.support, want.support)
 
 
 def test_ten_blob_protocol_finds_ten_modes():
@@ -256,6 +364,35 @@ def test_ten_blob_protocol_finds_ten_modes():
     for c in centers:
         d = np.sqrt(((res.mode_set.modes - c) ** 2).sum(axis=1)).min()
         assert d < 0.3
+
+
+# Mode counts over data seeds 0-2 of 1,500 points of each kind (5 clusters,
+# estimated h): the seeded engine as `cluster` runs it, then with every
+# point walking until all converge. A change to how walkers move may move
+# them and must restate them here. The step extrapolation took
+# noisy_circles at seed 2 from 2 modes to 1 on both paths: a ring is a
+# ridge, so its mode count hangs on where the walkers stop.
+SEEDED_MODE_COUNTS = {
+    "blobs": ((3, 4, 3), (3, 4, 3)),
+    "large_var_blobs": ((3, 2, 3), (3, 2, 3)),
+    "varied_var_blobs": ((3, 3, 3), (3, 3, 3)),
+    "uniform_square": ((2, 1, 1), (2, 1, 1)),
+    "noisy_circles": ((1, 2, 1), (1, 2, 1)),
+    "anisotropic": ((4, 4, 2), (4, 4, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_seeded_mode_counts_are_pinned(kind):
+    cluster, exhaustive = [], []
+    for seed in range(3):
+        pts, _, _ = generate(GenSpec(kind=kind, n_points=1500, n_clusters=5,
+                                     noise_sigma=0.1, rng_seed=seed))
+        cfg = ShiftConfig(bandwidth_h=estimate_bandwidth(pts), rng_seed=0)
+        cluster.append(run_adaptive(pts, cfg)[0].mode_set.m)
+        exhaustive.append(run_faster(pts, replace(
+            cfg, early_stop_gamma=1.0, n_initial=pts.n)).mode_set.m)
+    assert (tuple(cluster), tuple(exhaustive)) == SEEDED_MODE_COUNTS[kind]
 
 
 def test_run_deterministic_across_runs_and_threads(restore_backend):
@@ -396,19 +533,22 @@ def test_retry_walkers_end_where_independent_walks_end(monkeypatch):
     first = run_faster(pts, replace(cfg, n_initial=32, rng_seed=1),
                        walkers=walkers)
     stragglers = ~walkers.converged
-    assert first.labels is None and first.seeds_discarded == 4
+    assert first.labels is None and first.seeds_discarded == 3
     rows_seen = _spy_batch_step(monkeypatch)
     res = run_faster(pts, replace(cfg, n_initial=64, rng_seed=2),
                      walkers=walkers)
     assert res.labels is None and res.seeds_used == 64
-    # the retry steps only the 4 stragglers and the 32 added seeds
-    assert rows_seen[0] == 36
+    # the retry steps only the 3 stragglers and the 32 added seeds
+    assert rows_seen[0] == 35
     assert res.distance_evals == sum(rows_seen) * pts.n
     assert int(walkers.converged.sum()) >= 0.8 * 64
     # every kept straggler converged in the retry, and every converged
-    # walker ends bit for bit where its own walk from its start ends
+    # walker ends bit for bit where its own walk from its start ends: a
+    # retry carries each walker's previous step, so it extrapolates as it
+    # would have without the retry
     assert walkers.converged[:32][stragglers].all()
-    alone, _, _, _ = lockstep(pts.data[walkers.seeds], pts, cfg, 1.0)
+    alone, _, _, _ = lockstep(pts.data[walkers.seeds], pts, cfg, 1.0,
+                              steps=np.zeros((64, pts.d)))
     done = walkers.converged
     assert walkers.positions[done].tobytes() == alone[done].tobytes()
     assert res.mode_set.support.sum() == int(done.sum())
