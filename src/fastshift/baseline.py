@@ -16,6 +16,7 @@ from .core import (
     ClusterResult,
     ShiftConfig,
     VectorSet,
+    Walkers,
     assign_labels,
     lockstep,
     prune_modes,
@@ -40,16 +41,21 @@ def shift_once(x, points: VectorSet, h: float):
 def run_baseline(points: VectorSet, cfg: ShiftConfig) -> ClusterResult:
     """Full classical mean-shift over every input point.
 
-    Every point is a walker of :func:`~fastshift.core.lockstep`, which runs
-    until all have converged or ``max_iter``. End positions (converged or
-    not) are the raw modes, each counting once, merged by ``prune_modes``;
-    labels are nearest-mode over the original points.
+    Every point starts a walker of :func:`~fastshift.core.lockstep` on a
+    copy of ``points``, and they walk until all have converged or
+    ``max_iter``. End positions (converged or not) are the raw modes, each
+    counting once, merged by ``prune_modes``; labels are nearest-mode over
+    the original points.
 
     ``distance_evals`` counts window scans only (sum over walkers of
     iterations times n); pruning and labeling are excluded.
     """
     t0 = time.perf_counter()
-    positions, _, sweeps, evals = lockstep(points.data, points, cfg, 1.0)
+    # the walkers, and with them the index, die once they have walked
+    positions = points.data.copy()
+    sweeps, evals = lockstep(
+        Walkers(kernels.cell_index(points.data, cfg.bandwidth_h), positions,
+                np.zeros(points.n, dtype=bool)), points, cfg, 1.0)
     mode_set = prune_modes(positions, cfg.bandwidth_h, cfg.min_mode_support)
     labels = assign_labels(points, mode_set)
     return ClusterResult(

@@ -17,9 +17,8 @@ import time
 
 import numpy as np
 
-from . import kernels
-from .core import ClusterResult, ShiftConfig, VectorSet, assign_labels
-from .faster import Walkers, run_faster
+from .core import ClusterResult, ShiftConfig, VectorSet, Walkers, assign_labels
+from .faster import run_faster
 
 # the seed band: at least L and at most H seeds per observed mode
 SEED_LOW_L = 8
@@ -139,7 +138,7 @@ def run_adaptive(points: VectorSet, cfg: ShiftConfig,
         state = ControllerState(N=cfg.n_initial)
     state.N = max(1, min(state.N, points.n))
 
-    walkers = Walkers(kernels.cell_index(points.data, cfg.bandwidth_h))
+    walkers = Walkers.seeded(points, cfg.bandwidth_h)
     evals_total = 0
     while True:
         attempt = replace(cfg, n_initial=state.N,

@@ -7,7 +7,7 @@ not depend on caller parallelism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
@@ -157,9 +157,35 @@ EXTRAPOLATE_COS = 0.9
 EXTRAPOLATE_MAX = 4.0
 
 
-def lockstep(start, points: VectorSet, cfg: ShiftConfig, stop_fraction: float,
-             converged=None, index=None, *, steps=None):
-    """Walk every row of ``start`` uphill in lockstep window-mean sweeps.
+@dataclass
+class Walkers:
+    """Walkers over one point set: the state :func:`lockstep` advances.
+
+    ``index`` is the points' ``kernels.cell_index``, built once by the code
+    that makes the walkers (None: the points have no exact grid).
+    ``positions`` is where each walker stands, ``converged`` whether it
+    has converged, and ``steps`` its previous step (zero before its
+    first), which the seeded engine extrapolates from; None gives every
+    walker the plain step, as the baseline's take. ``seeds`` are the
+    seeded engine's start points' indices in draw order.
+    """
+
+    index: tuple | None
+    positions: np.ndarray
+    converged: np.ndarray
+    steps: np.ndarray | None = None
+    seeds: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
+
+    @classmethod
+    def seeded(cls, points: VectorSet, h: float) -> Walkers:
+        """The seeded engine's walkers before its first seed is drawn."""
+        return cls(kernels.cell_index(points.data, h), np.empty((0, points.d)),
+                   np.empty(0, bool), np.empty((0, points.d)))
+
+
+def lockstep(walkers: Walkers, points: VectorSet, cfg: ShiftConfig,
+             stop_fraction: float) -> tuple[int, int]:
+    """Walk ``walkers`` uphill in lockstep window-mean sweeps, in place.
 
     Each sweep moves every unconverged walker from x to the mean m(x) of
     the points within ``cfg.bandwidth_h`` of it; a walker whose step
@@ -170,56 +196,42 @@ def lockstep(start, points: VectorSet, cfg: ShiftConfig, stop_fraction: float,
     ``stop_fraction`` of all of them; no sweep runs when that already
     holds at the start.
 
-    ``steps``, when given, holds each walker's previous step s' (a zero
-    row before its first) and turns on the seeded engine's extrapolation.
-    A moving walker whose step agrees with s', with cos(s, s') >=
-    ``EXTRAPOLATE_COS`` and r = |s| / |s'| < 1, moves to x + e s with
-    e = min(1 / (1 - r), ``EXTRAPOLATE_MAX``): the limit of a geometric
-    series of steps of ratio r, capped. Both tests compare squared
-    quantities, and a cosine test whose products overflow does not hold;
-    a jump that is not finite falls back to m(x). Every other walker
-    moves to m(x), so a converged walker still ends on a window mean
-    whose step was within the tolerance. Each sweep writes every moving
-    walker's s into ``steps``, shortened to the s' it replaces when
-    longer. So s' is never longer than any step the walker has taken, a
-    jump needs a step shorter than all of them, and a walker cannot cycle
-    through a jump, as an unshortened s' let it (a 1-D walk of 8 points
-    did). Without ``steps`` every walker takes the plain step, as the
-    baseline engine does.
+    Walkers with ``steps`` extrapolate. A moving walker whose step agrees
+    with its previous step s', with cos(s, s') >= ``EXTRAPOLATE_COS`` and
+    r = |s| / |s'| < 1, moves to x + e s with e = min(1 / (1 - r),
+    ``EXTRAPOLATE_MAX``): the limit of a geometric series of steps of
+    ratio r, capped. Both tests compare squared quantities, and a cosine
+    test whose products overflow does not hold; a jump that is not finite
+    falls back to m(x). Every other walker moves to m(x), so a converged
+    walker still ends on a window mean whose step was within the
+    tolerance. Each sweep writes every moving walker's s into ``steps``,
+    shortened to the s' it replaces when longer. So s' is never longer
+    than any step the walker has taken, a jump needs a step shorter than
+    all of them, and a walker cannot cycle through a jump, as an
+    unshortened s' let it (a 1-D walk of 8 points did).
 
-    ``converged`` flags the rows of ``start`` that have already converged
-    (default: none), so a caller can continue an earlier walk. ``index`` is
-    ``kernels.cell_index(points.data, cfg.bandwidth_h)`` when the caller
-    already has it; otherwise it is built here, once for every sweep.
-
-    Returns ``(positions, converged, sweeps, evals)``; ``evals`` is the sum
-    over sweeps of (moving walkers) * n. Of the arguments, only ``steps``
-    is modified.
+    Updates the walkers' ``positions``, ``converged`` and ``steps`` and
+    returns ``(sweeps, evals)``; ``evals`` is the sum over sweeps of
+    (moving walkers) * n.
     """
-    positions = np.array(start, dtype=np.float64)
-    n_walkers = positions.shape[0]
+    positions, converged = walkers.positions, walkers.converged
     thresh2 = (cfg.conv_tol * cfg.bandwidth_h) ** 2
-    converged = (np.zeros(n_walkers, dtype=bool) if converged is None
-                 else np.array(converged, dtype=bool))
     sweeps = 0
     evals = 0
-    # the points never move, so one cell index serves every sweep
-    if index is None:
-        index = kernels.cell_index(points.data, cfg.bandwidth_h)
     while (sweeps < cfg.max_iter and not converged.all()
-           and int(converged.sum()) / n_walkers < stop_fraction):
+           and converged.mean() < stop_fraction):
         idx = np.flatnonzero(~converged)
         rows = positions[idx]
         moved = kernels.batch_step(rows, points.data, cfg.bandwidth_h,
-                                   kernels.CHUNK_POINTS, index)[0]
+                                   kernels.CHUNK_POINTS, walkers.index)[0]
         evals += idx.size * points.n
         sweeps += 1
-        converged[idx] = _land(rows, moved, thresh2, steps, idx)
+        converged[idx] = _land(rows, moved, thresh2, walkers.steps, idx)
         positions[idx] = moved
         # this sweep's rows and means die here, so the next window step's
         # scratch is not stacked on them
         del rows, moved
-    return positions, converged, sweeps, evals
+    return sweeps, evals
 
 
 def _land(rows, moved, thresh2, steps, idx):

@@ -11,13 +11,12 @@ flat climb converges in about half the sweeps.
 Once a gamma fraction of the batch has converged the rest are discarded,
 and every input point is then labeled by its nearest surviving mode. An
 adaptive controller's retry continues the previous attempt's
-:class:`Walkers`, steps included, and adds seeds, instead of starting
-over.
+:class:`fastshift.core.Walkers`, steps included, and adds seeds, instead
+of starting over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import time
 
 import numpy as np
@@ -27,29 +26,11 @@ from .core import (
     NoConvergedSeedsError,
     ShiftConfig,
     VectorSet,
+    Walkers,
     assign_labels,
     lockstep,
     prune_modes,
 )
-
-
-@dataclass
-class Walkers:
-    """The seed walkers one controller attempt hands on to the next.
-
-    ``index`` is the points' ``kernels.cell_index``, built once per
-    controller call. ``seeds`` are the indices of the start points in draw
-    order, empty until an attempt has run; ``positions`` is where each
-    walker stands, ``converged`` whether it has converged and ``steps``
-    its previous step as ``core.lockstep`` keeps it to extrapolate from
-    (zero before its first); all three are None until then.
-    """
-
-    index: tuple | None
-    seeds: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
-    positions: np.ndarray | None = None
-    converged: np.ndarray | None = None
-    steps: np.ndarray | None = None
 
 
 def seed_indices(n: int, N: int, rng_seed: int,
@@ -95,20 +76,18 @@ def run_faster(points: VectorSet, cfg: ShiftConfig,
     accepts.
     """
     t0 = time.perf_counter()
-    carry = Walkers(index=None) if walkers is None else walkers
+    carry = walkers or Walkers.seeded(points, cfg.bandwidth_h)
     seeds = seed_indices(points.n, cfg.n_initial, cfg.rng_seed, carry.seeds)
-    start = points.data[seeds]
-    flags = np.zeros(seeds.size, dtype=bool)
-    steps = np.zeros_like(start)
-    if carry.positions is not None:
-        start[:carry.seeds.size] = carry.positions
-        flags[:carry.seeds.size] = carry.converged
-        steps[:carry.seeds.size] = carry.steps
-    positions, converged, sweeps, evals = lockstep(
-        start, points, cfg, cfg.early_stop_gamma, flags, carry.index,
-        steps=steps)
-    carry.seeds, carry.positions = seeds, positions
-    carry.converged, carry.steps = converged, steps
+    added = points.data[seeds[carry.seeds.size:]]
+    carry.seeds = seeds
+    carry.positions = np.concatenate([carry.positions, added])
+    carry.converged = np.concatenate([carry.converged,
+                                      np.zeros(len(added), dtype=bool)])
+    carry.steps = np.concatenate([carry.steps, np.zeros_like(added)])
+    sweeps, evals = lockstep(carry, points, cfg, cfg.early_stop_gamma)
+    # a standalone run's index dies here, before pruning and labelling
+    positions, converged = carry.positions, carry.converged
+    del carry
     # survivors only: stragglers are dropped, not merged
     if not converged.any():
         raise NoConvergedSeedsError("no seeds converged")

@@ -27,14 +27,14 @@ sum that overflows makes a wrong mean, and the window step raises
 ``RuntimeError`` rather than return it.
 
 The window step tests each row only against the points of the cells
-around it, found through the :func:`cell_index` that ``core.lockstep``
-sorts the points into once per run: the point order plus, for each
-occupied cell only, its key and where its points start in that order.
-One in-place sort of every point's key finds the occupied cells, and a
-stable counting sort over them builds that order a block of rows at a
-time; the keys are freed before the order exists, so the index holds one
-int32 per point and no other n-sized array. Rows and points share one
-cell key.
+around it, found through the :func:`cell_index` of the points, built
+once per run by the code that makes a ``core.Walkers``: the point order
+plus, for each occupied cell only, its key and where its points start in
+that order. One in-place sort of every point's key finds the occupied
+cells, and a stable counting sort over them builds that order a block of
+rows at a time; the keys are freed before the order exists, so the index
+holds one int32 per point and no other n-sized array. Rows and points
+share one cell key.
 One sort of the rows by (key, bits) makes the blocks, one per key, and
 steps each set of bit-identical rows once, since a row's result is a
 function of its bits alone. The grid drops only points the kernel would
@@ -405,8 +405,8 @@ def batch_step(rows, points, h, chunk_size, index=None):
 
     Rows with an empty window stay put. Returns ``(new_rows, window_counts)``.
     ``index`` is the ``(lo, side, axes, width, cells, offsets, order)``
-    of ``cell_index(points, h)``, which its caller builds once per run, as
-    ``core.lockstep`` does; without it, all rows and points share one
+    of ``cell_index(points, h)``, built once per run and kept in the
+    walkers' ``core.Walkers``; without it, all rows and points share one
     cell. Rows must be finite. A cell's rows are stepped over the
     points of its 3 by 3 neighbour cells in index order, found by
     searching ``cells`` and read from ``order`` through ``offsets``, so

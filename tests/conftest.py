@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fastshift
 from fastshift import ConfigError, GenSpec, ShiftConfig, VectorSet, gen_blobs
 from fastshift import kernels, shift_once
-from fastshift.core import EXTRAPOLATE_COS, EXTRAPOLATE_MAX
+from fastshift.core import EXTRAPOLATE_COS, EXTRAPOLATE_MAX, Walkers
 
 # numba's first-call JIT latency trips hypothesis' default deadline
 settings.register_profile(
@@ -145,6 +145,19 @@ def scalar_greedy_prune(cands, h):
             acc_support.append(1)
     return (np.asarray(accepted, dtype=np.int64),
             np.asarray(acc_support, dtype=np.int64))
+
+
+def walkers_at(start, points: VectorSet, h: float, converged=None,
+               steps=None) -> Walkers:
+    """``core.Walkers`` standing on a copy of the rows of ``start``, over
+    the cell index of ``points`` at bandwidth ``h``. ``converged`` flags
+    the walkers that have converged (default: none; copied); ``steps``,
+    kept as given, makes them extrapolate as the seeded engine's do."""
+    positions = np.array(start, dtype=np.float64)
+    flags = (np.zeros(len(positions), dtype=bool) if converged is None
+             else np.array(converged, dtype=bool))
+    return Walkers(kernels.cell_index(points.data, h), positions, flags,
+                   steps)
 
 
 @dataclass(frozen=True)

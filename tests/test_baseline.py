@@ -24,6 +24,7 @@ from conftest import (
     follow_point,
     make_blobs,
     scalar_batch_step,
+    walkers_at,
 )
 
 rng = np.random.default_rng(7)
@@ -123,11 +124,12 @@ def test_lockstep_equals_independent_trajectories_in_other_dims(data):
     pts = data.draw(clustered_points(d), label="points")
     h = data.draw(st.sampled_from([0.5, 1.0, 2.5]), label="h")
     cfg = ShiftConfig(bandwidth_h=h, max_iter=50)
-    positions, converged, sweeps, evals = lockstep(pts.data, pts, cfg, 1.0)
+    walkers = walkers_at(pts.data, pts, h)
+    sweeps, evals = lockstep(walkers, pts, cfg, 1.0)
     trajs = [follow_point(x, pts, cfg) for x in pts.data]
     ends = np.stack([t.current for t in trajs])
-    assert positions.tobytes() == ends.tobytes()
-    assert converged.tolist() == [t.converged for t in trajs]
+    assert walkers.positions.tobytes() == ends.tobytes()
+    assert walkers.converged.tolist() == [t.converged for t in trajs]
     assert sweeps == max(t.iterations for t in trajs)
     assert evals == sum(t.iterations for t in trajs) * pts.n
 

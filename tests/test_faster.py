@@ -25,8 +25,9 @@ from fastshift import (
     shift_once,
 )
 from fastshift import controller, kernels
+from fastshift.core import Walkers
 from fastshift.datagen import KINDS, GenSpec, generate
-from fastshift.faster import Walkers, seed_indices
+from fastshift.faster import seed_indices
 
 from conftest import (
     OTHER_DIMS,
@@ -34,6 +35,7 @@ from conftest import (
     follow_seeded,
     make_blobs,
     scalar_batch_step,
+    walkers_at,
 )
 
 rng = np.random.default_rng(21)
@@ -89,54 +91,56 @@ def test_batch_matches_per_seed_shift_once():
     pts, _, _ = make_blobs(n=200, k=3, sigma=0.2, seed=1)
     cfg = ShiftConfig(bandwidth_h=0.5, max_iter=1)
     seeds = sample_seeds(pts, 8, rng_seed=5)
-    positions, _, sweeps, evals = lockstep(seeds, pts, cfg, 1.0)
-    assert (sweeps, evals) == (1, 8 * pts.n)
+    walkers = walkers_at(seeds, pts, cfg.bandwidth_h)
+    assert lockstep(walkers, pts, cfg, 1.0) == (1, 8 * pts.n)
     for s in range(8):
         ref, _ = shift_once(seeds[s], pts, cfg.bandwidth_h)
-        assert positions[s].tobytes() == ref.tobytes()
+        assert walkers.positions[s].tobytes() == ref.tobytes()
 
 
 def test_batch_chunk_size_invariant(monkeypatch):
     pts, _, _ = make_blobs(n=150, k=3, sigma=0.2, seed=2)
     seeds = sample_seeds(pts, 10, rng_seed=7)
     cfg = ShiftConfig(bandwidth_h=0.5)
+    a = walkers_at(seeds, pts, cfg.bandwidth_h)
+    b = walkers_at(seeds, pts, cfg.bandwidth_h)
     monkeypatch.setattr(kernels, "CHUNK_POINTS", 1)
-    a = lockstep(seeds, pts, cfg, 1.0)
+    a_counts = lockstep(a, pts, cfg, 1.0)
     monkeypatch.setattr(kernels, "CHUNK_POINTS", 150)
-    b = lockstep(seeds, pts, cfg, 1.0)
-    assert a[0].tobytes() == b[0].tobytes()
-    assert np.array_equal(a[1], b[1])
-    assert a[2:] == b[2:]
+    b_counts = lockstep(b, pts, cfg, 1.0)
+    assert a.positions.tobytes() == b.positions.tobytes()
+    assert np.array_equal(a.converged, b.converged)
+    assert a_counts == b_counts
 
 
 def test_batch_marks_fixpoint_converged():
     pts = VectorSet(np.array([[-1.0, 0.0], [1.0, 0.0]]))
-    start = np.array([[0.0, 0.0]])  # mean of its own window
-    positions, converged, sweeps, evals = lockstep(
-        start, pts, ShiftConfig(bandwidth_h=3.0), 1.0)
-    assert converged.tolist() == [True]
-    assert (sweeps, evals) == (1, 2)
-    assert positions.tolist() == [[0.0, 0.0]]
+    walkers = walkers_at([[0.0, 0.0]], pts, 3.0)  # mean of its own window
+    assert lockstep(walkers, pts, ShiftConfig(bandwidth_h=3.0), 1.0) == (1, 2)
+    assert walkers.converged.tolist() == [True]
+    assert walkers.positions.tolist() == [[0.0, 0.0]]
 
 
-def test_batch_does_not_mutate_input():
+def test_engines_do_not_mutate_points():
+    # lockstep advances its walkers in place and the baseline's walkers
+    # start on every point, so it walks a copy: no engine writes the
+    # caller's points
     pts, _, _ = make_blobs(n=100, k=2, sigma=0.2, seed=3)
-    seeds = sample_seeds(pts, 6, rng_seed=1)
-    before = seeds.copy()
-    positions, _, _, _ = lockstep(seeds, pts, ShiftConfig(bandwidth_h=0.5),
-                                  1.0)
-    assert seeds.tobytes() == before.tobytes()
-    assert positions.tobytes() != before.tobytes()
+    before = pts.data.copy()
+    cfg = ShiftConfig(bandwidth_h=0.5, n_initial=6, rng_seed=1)
+    for run in (run_baseline, run_faster, lambda p, c: run_adaptive(p, c)[0]):
+        assert run(pts, cfg).iterations_run >= 1
+        assert pts.data.tobytes() == before.tobytes()
 
 
 def test_batch_requires_a_moving_seed(monkeypatch):
     # no walker to move: no sweep runs and the kernel is never called
     rows_seen = _spy_batch_step(monkeypatch)
     pts = VectorSet(rng.normal(size=(10, 2)))
-    positions, converged, sweeps, evals = lockstep(
-        np.empty((0, 2)), pts, ShiftConfig(bandwidth_h=0.5), 0.95)
-    assert positions.shape == (0, 2) and converged.shape == (0,)
-    assert (sweeps, evals) == (0, 0)
+    walkers = walkers_at(np.empty((0, 2)), pts, 0.5)
+    assert lockstep(walkers, pts, ShiftConfig(bandwidth_h=0.5), 0.95) == (0, 0)
+    assert walkers.positions.shape == (0, 2)
+    assert walkers.converged.shape == (0,)
     assert rows_seen == []
 
 
@@ -145,18 +149,20 @@ def test_batch_skips_already_converged_seeds(monkeypatch):
     seeds = sample_seeds(pts, 4, rng_seed=2)
     cfg = ShiftConfig(bandwidth_h=0.5)
     rows_seen = _spy_batch_step(monkeypatch)
-    _, _, sweeps, _ = lockstep(seeds, pts, cfg, 1.0)
+    sweeps, _ = lockstep(walkers_at(seeds, pts, 0.5), pts, cfg, 1.0)
     moved_per_sweep = list(rows_seen)
     assert sweeps >= 2
     # each sweep moves exactly the walkers the previous one left unconverged,
     # and a converged walker never moves again
     for t in range(1, sweeps):
-        pos_t, conv_t, _, _ = lockstep(seeds, pts, replace(cfg, max_iter=t),
-                                       1.0)
-        pos_next, _, _, _ = lockstep(seeds, pts,
-                                     replace(cfg, max_iter=t + 1), 1.0)
+        at_t = walkers_at(seeds, pts, 0.5)
+        at_next = walkers_at(seeds, pts, 0.5)
+        lockstep(at_t, pts, replace(cfg, max_iter=t), 1.0)
+        lockstep(at_next, pts, replace(cfg, max_iter=t + 1), 1.0)
+        conv_t = at_t.converged
         assert moved_per_sweep[t] == int((~conv_t).sum())
-        assert pos_next[conv_t].tobytes() == pos_t[conv_t].tobytes()
+        assert (at_next.positions[conv_t].tobytes()
+                == at_t.positions[conv_t].tobytes())
 
 
 def test_lockstep_never_steps_preconverged_rows(monkeypatch):
@@ -166,18 +172,19 @@ def test_lockstep_never_steps_preconverged_rows(monkeypatch):
     flags = np.zeros(10, dtype=bool)
     flags[::3] = True
     rows_seen = _spy_batch_step(monkeypatch, record=lambda rows: rows.copy())
-    alone = lockstep(start[~flags], pts, cfg, 1.0)
+    alone = walkers_at(start[~flags], pts, 0.5)
+    alone_counts = lockstep(alone, pts, cfg, 1.0)
     alone_rows = [r.tobytes() for r in rows_seen]
     rows_seen.clear()
-    positions, converged, sweeps, evals = lockstep(start, pts, cfg, 1.0,
-                                                   flags)
+    walkers = walkers_at(start, pts, 0.5, flags)
+    counts = lockstep(walkers, pts, cfg, 1.0)
     # the kernel sees exactly what a walk of the unflagged rows alone gives
     # it, so a flagged row is never stepped and keeps its bytes
     assert [r.tobytes() for r in rows_seen] == alone_rows
-    assert positions[flags].tobytes() == start[flags].tobytes()
-    assert positions[~flags].tobytes() == alone[0].tobytes()
-    assert (sweeps, evals) == alone[2:]
-    assert converged.all() and int(flags.sum()) == 4
+    assert walkers.positions[flags].tobytes() == start[flags].tobytes()
+    assert walkers.positions[~flags].tobytes() == alone.positions.tobytes()
+    assert counts == alone_counts
+    assert walkers.converged.all() and int(flags.sum()) == 4
 
 
 def test_lockstep_met_stop_fraction_runs_no_sweep(monkeypatch):
@@ -186,13 +193,13 @@ def test_lockstep_met_stop_fraction_runs_no_sweep(monkeypatch):
     start = sample_seeds(pts, 20, rng_seed=3)
     rows_seen = _spy_batch_step(monkeypatch)
     flags = np.arange(20) < 19
-    positions, converged, sweeps, evals = lockstep(start, pts, cfg, 0.95,
-                                                   flags)
-    assert (sweeps, evals) == (0, 0) and rows_seen == []
-    assert positions.tobytes() == start.tobytes()
-    assert converged.tolist() == flags.tolist()
+    walkers = walkers_at(start, pts, 0.5, flags)
+    assert lockstep(walkers, pts, cfg, 0.95) == (0, 0) and rows_seen == []
+    assert walkers.positions.tobytes() == start.tobytes()
+    assert walkers.converged.tolist() == flags.tolist()
     # one flag fewer is under the stop fraction: the one walker moves
-    _, _, sweeps, _ = lockstep(start, pts, cfg, 0.95, np.arange(20) < 18)
+    sweeps, _ = lockstep(walkers_at(start, pts, 0.5, np.arange(20) < 18),
+                         pts, cfg, 0.95)
     assert sweeps >= 1 and rows_seen[0] == 2
 
 
@@ -212,17 +219,18 @@ def _gamma_case(n_stragglers):
 def test_early_stop_boundaries():
     cfg = ShiftConfig(bandwidth_h=1.0)
     start, pts = _gamma_case(5)
-    _, converged, sweeps, evals = lockstep(start, pts, cfg, 0.95)
-    assert int(converged.sum()) == 95
-    assert (sweeps, evals) == (1, 100 * pts.n)
+    walkers = walkers_at(start, pts, 1.0)
+    assert lockstep(walkers, pts, cfg, 0.95) == (1, 100 * pts.n)
+    assert int(walkers.converged.sum()) == 95
     # stop_fraction 1 runs until every walker has converged
-    _, converged, sweeps, _ = lockstep(start, pts, cfg, 1.0)
-    assert converged.all() and sweeps == 2
+    walkers = walkers_at(start, pts, 1.0)
+    sweeps, _ = lockstep(walkers, pts, cfg, 1.0)
+    assert walkers.converged.all() and sweeps == 2
 
     start, pts = _gamma_case(6)
-    _, converged, sweeps, evals = lockstep(start, pts, cfg, 0.95)
-    assert converged.all()
-    assert (sweeps, evals) == (2, 106 * pts.n)
+    walkers = walkers_at(start, pts, 1.0)
+    assert lockstep(walkers, pts, cfg, 0.95) == (2, 106 * pts.n)
+    assert walkers.converged.all()
 
 
 def test_extrapolation_overflow_takes_the_window_mean():
@@ -233,14 +241,14 @@ def test_extrapolation_overflow_takes_the_window_mean():
     # pass and jump to x + 4 s
     pts = VectorSet(np.array([[5e153, 5e153], [-1.5e154, -1.5e154]]))
     cfg = ShiftConfig(bandwidth_h=1e154, max_iter=1)
-    steps = np.array([[6e153, 6e153]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        positions, converged, sweeps, _ = lockstep(
-            np.zeros((1, 2)), pts, cfg, 1.0, steps=steps)
-    assert (sweeps, converged.tolist()) == (1, [False])
-    assert positions.tolist() == [[5e153, 5e153]]
-    assert steps.tolist() == [[5e153, 5e153]]
+        walkers = walkers_at(np.zeros((1, 2)), pts, cfg.bandwidth_h,
+                             steps=np.array([[6e153, 6e153]]))
+        sweeps, _ = lockstep(walkers, pts, cfg, 1.0)
+    assert (sweeps, walkers.converged.tolist()) == (1, [False])
+    assert walkers.positions.tolist() == [[5e153, 5e153]]
+    assert walkers.steps.tolist() == [[5e153, 5e153]]
 
 
 def test_extrapolating_walker_does_not_cycle():
@@ -251,9 +259,9 @@ def test_extrapolating_walker_does_not_cycle():
     pts = VectorSet(np.array([[-0.375], [-0.375], [-0.375], [-0.125], [0.0],
                               [-0.625], [0.0], [0.25]]))
     cfg = ShiftConfig(bandwidth_h=0.5)
-    _, converged, sweeps, _ = lockstep(np.array([[0.25]]), pts, cfg, 1.0,
-                                       steps=np.zeros((1, 1)))
-    assert converged.tolist() == [True] and sweeps <= 10
+    walkers = walkers_at([[0.25]], pts, 0.5, steps=np.zeros((1, 1)))
+    sweeps, _ = lockstep(walkers, pts, cfg, 1.0)
+    assert walkers.converged.tolist() == [True] and sweeps <= 10
 
 
 @given(data=st.data())
@@ -439,9 +447,12 @@ def test_work_bound_counts_moving_times_n(monkeypatch):
 def test_cell_index_built_once_per_run(monkeypatch):
     # the points never move, so each engine run sorts them by cell once and
     # every sweep's batch_step reuses that index; a controller call hands
-    # its one index to every retry
+    # its one index to every retry, also when the index is None because a
+    # point lies beyond the grid's reach
     pts, _, _ = make_blobs(n=400, k=4, sigma=0.1, seed=5)
     retrying, _, _ = make_blobs(n=2000, k=20, sigma=0.1, seed=11)
+    far = VectorSet(np.concatenate([retrying.data, [[1e9, 0.0]]]))
+    assert kernels.cell_index(far.data, 0.3) is None
     cfg = ShiftConfig(bandwidth_h=0.3, rng_seed=1)
     steps = _spy_batch_step(monkeypatch)
     built = []
@@ -452,21 +463,25 @@ def test_cell_index_built_once_per_run(monkeypatch):
         return orig(points, h)
 
     monkeypatch.setattr(kernels, "cell_index", spy)
+    adaptive = []
     for run in (lambda: run_faster(pts, replace(cfg, n_initial=50)),
                 lambda: run_baseline(pts, cfg),
-                lambda: run_adaptive(retrying, replace(cfg, rng_seed=5))):
+                lambda: run_adaptive(retrying, replace(cfg, rng_seed=5)),
+                lambda: run_adaptive(far, replace(cfg, rng_seed=5))):
         built.clear()
         steps.clear()
         out = run()
         assert built == [0.3]
         assert len(steps) > 1
-    assert out[1].retries == 1
+        if isinstance(out, tuple):
+            adaptive.append(out[1].retries)
+    assert adaptive == [1, 1]
 
 
 def test_retry_keeps_seeds_and_adds_unused_points():
     pts, _, _ = make_blobs(n=300, k=3, sigma=0.1, seed=2)
     cfg = ShiftConfig(bandwidth_h=0.3)
-    walkers = Walkers(kernels.cell_index(pts.data, cfg.bandwidth_h))
+    walkers = Walkers.seeded(pts, cfg.bandwidth_h)
     run_faster(pts, replace(cfg, n_initial=64, rng_seed=1), walkers=walkers)
     # the first attempt draws the sample a standalone run draws
     first = walkers.seeds.copy()
@@ -529,7 +544,7 @@ def test_seed_indices_holds_nothing_n_sized():
 def test_retry_walkers_end_where_independent_walks_end(monkeypatch):
     pts, _, _ = make_blobs(n=1000, k=5, sigma=0.1, seed=2)
     cfg = ShiftConfig(bandwidth_h=0.3, early_stop_gamma=0.8)
-    walkers = Walkers(kernels.cell_index(pts.data, cfg.bandwidth_h))
+    walkers = Walkers.seeded(pts, cfg.bandwidth_h)
     first = run_faster(pts, replace(cfg, n_initial=32, rng_seed=1),
                        walkers=walkers)
     stragglers = ~walkers.converged
@@ -547,10 +562,11 @@ def test_retry_walkers_end_where_independent_walks_end(monkeypatch):
     # retry carries each walker's previous step, so it extrapolates as it
     # would have without the retry
     assert walkers.converged[:32][stragglers].all()
-    alone, _, _, _ = lockstep(pts.data[walkers.seeds], pts, cfg, 1.0,
-                              steps=np.zeros((64, pts.d)))
+    alone = walkers_at(pts.data[walkers.seeds], pts, cfg.bandwidth_h,
+                       steps=np.zeros((64, pts.d)))
+    lockstep(alone, pts, cfg, 1.0)
     done = walkers.converged
-    assert walkers.positions[done].tobytes() == alone[done].tobytes()
+    assert walkers.positions[done].tobytes() == alone.positions[done].tobytes()
     assert res.mode_set.support.sum() == int(done.sum())
 
 
@@ -566,14 +582,14 @@ def test_kde_nondecreasing_for_seed_trajectories():
     pts, _, _ = make_blobs(n=300, k=3, sigma=0.15, seed=11)
     cfg = ShiftConfig(bandwidth_h=0.45)
     seeds = sample_seeds(pts, 12, rng_seed=2)
-    _, _, sweeps, _ = lockstep(seeds, pts, cfg, 1.0)
+    sweeps, _ = lockstep(walkers_at(seeds, pts, 0.45), pts, cfg, 1.0)
     assert sweeps >= 3
     vals = np.array([kde_value(p, pts, cfg.bandwidth_h) for p in seeds])
     # the positions after t sweeps are those of a run capped at t sweeps
     for t in range(1, sweeps + 1):
-        positions, _, _, _ = lockstep(seeds, pts, replace(cfg, max_iter=t),
-                                      1.0)
+        walkers = walkers_at(seeds, pts, 0.45)
+        lockstep(walkers, pts, replace(cfg, max_iter=t), 1.0)
         new_vals = np.array([kde_value(p, pts, cfg.bandwidth_h)
-                             for p in positions])
+                             for p in walkers.positions])
         assert (new_vals >= vals - 1e-12).all()
         vals = new_vals

@@ -27,7 +27,7 @@ def backend(request, restore_backend):
     return request.param
 
 
-# no index tests every pair; the built one is what core.lockstep passes
+# no index tests every pair; the built one is what core.Walkers holds
 INDEXES = (None, kernels.cell_index(POINTS, H))
 
 
@@ -137,7 +137,7 @@ def test_batch_step_grid_matches_scalar_on_cell_boundaries(data):
     index = kernels.cell_index(pts, h)
     assert index is not None
     ref, ref_counts = scalar_batch_step(rows, pts, h)
-    # brute force, and over the index core.lockstep builds once per run
+    # brute force, and over the index a run builds once for its walkers
     for given in (None, index):
         out, counts = kernels.batch_step(rows, pts, h, chunk, given)
         assert out.tobytes() == ref.tobytes()
