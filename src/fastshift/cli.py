@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import secrets
@@ -367,8 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: building the tree costs about twenty parses,
+# and parse_args leaves the parser as it found it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except MemoryError as exc:

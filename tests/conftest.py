@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fastshift
 from fastshift import ConfigError, GenSpec, ShiftConfig, VectorSet, gen_blobs
 from fastshift import kernels, shift_once
-from fastshift.core import EXTRAPOLATE_COS, EXTRAPOLATE_MAX, Walkers
+from fastshift.core import EXTRAPOLATE_MAX, Walkers
 
 # numba's first-call JIT latency trips hypothesis' default deadline
 settings.register_profile(
@@ -148,16 +148,20 @@ def scalar_greedy_prune(cands, h):
 
 
 def walkers_at(start, points: VectorSet, h: float, converged=None,
-               steps=None) -> Walkers:
+               steps=None, moves=None) -> Walkers:
     """``core.Walkers`` standing on a copy of the rows of ``start``, over
     the cell index of ``points`` at bandwidth ``h``. ``converged`` flags
     the walkers that have converged (default: none; copied); ``steps``,
-    kept as given, makes them extrapolate as the seeded engine's do."""
+    kept as given, makes them extrapolate as the seeded engine's do, from
+    last moves ``moves`` (kept as given; default: zero, as before a
+    walker's first sweep)."""
     positions = np.array(start, dtype=np.float64)
     flags = (np.zeros(len(positions), dtype=bool) if converged is None
              else np.array(converged, dtype=bool))
+    if steps is not None and moves is None:
+        moves = np.zeros_like(steps)
     return Walkers(kernels.cell_index(points.data, h), positions, flags,
-                   steps)
+                   steps, moves)
 
 
 @dataclass(frozen=True)
@@ -194,44 +198,44 @@ def follow_seeded(x0, points: VectorSet, cfg: ShiftConfig,
     """Independent one-walker reference for the seeded engine's walk: at
     most ``sweeps`` window-mean steps by ``scalar_batch_step``, each taken
     as ``core.lockstep`` takes it with ``steps``. The walker keeps its own
-    previous step s', zero before its first and shortened to the s' it
-    replaces when longer. Let s = m(x) - x: at
-    |s| <= conv_tol * h it stops at m(x), converged; while
-    cos(s, s') >= EXTRAPOLATE_COS and r = |s| / |s'| < 1 it moves to
-    x + min(1 / (1 - r), EXTRAPOLATE_MAX) s, unless that is not finite;
-    otherwise to m(x). Sums fold coordinates in ascending order, and the
-    cosine test compares squares, counting an overflowed product as a
-    failed test."""
+    previous step s', shortened to the s' it replaces when longer, and its
+    last move dx: s' after a plain step, e s' after a jump, and both zero
+    before its first. Let s = m(x) - x: at |s| <= conv_tol * h it stops at
+    m(x), converged; while dx . (s' - s) > 0, e = |dx|^2 / dx . (s' - s)
+    > 1 and |s| < |s'| it moves to x + min(e, EXTRAPOLATE_MAX) s, unless
+    that is not finite; otherwise to m(x). Sums fold coordinates in
+    ascending order, and an overflowed |dx|^2 fails the test."""
     h = cfg.bandwidth_h
     thresh2 = (cfg.conv_tol * h) ** 2
     pos = [float(v) for v in x0]
     prev = [0.0] * len(pos)
+    move = [0.0] * len(pos)
     starts = []
     while len(starts) < sweeps:
         starts.append(pos)
         mean = [float(v)
                 for v in scalar_batch_step([pos], points.data, h)[0][0]]
         s = [a - b for a, b in zip(mean, pos)]
-        step2 = dot = prev2 = 0.0
+        step2 = dot = move2 = prev2 = 0.0
         for k in range(len(s)):
             step2 += s[k] * s[k]
-            dot += s[k] * prev[k]
+            dot += move[k] * (prev[k] - s[k])
+            move2 += move[k] * move[k]
             prev2 += prev[k] * prev[k]
         x, pos, prev = pos, mean, s
         if step2 > prev2 > 0:
             prev = [v * math.sqrt(prev2 / step2) for v in s]
+        move = prev
         if step2 <= thresh2:
             return PointTrajectory(np.array(pos), True, len(starts),
                                    np.array(starts))
-        bound = EXTRAPOLATE_COS ** 2 * step2 * prev2
-        if dot > 0 and bound < math.inf and dot * dot >= bound \
+        if dot > 0 and move2 < math.inf and move2 / dot > 1 \
                 and step2 < prev2:
-            r = math.sqrt(step2 / prev2)
-            e = (EXTRAPOLATE_MAX if r >= 1
-                 else min(1 / (1 - r), EXTRAPOLATE_MAX))
+            e = min(move2 / dot, EXTRAPOLATE_MAX)
             far = [a + e * b for a, b in zip(x, s)]
             if all(map(math.isfinite, far)):
                 pos = far
+                move = [e * v for v in s]
     return PointTrajectory(np.array(pos), False, sweeps, np.array(starts))
 
 

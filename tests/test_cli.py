@@ -363,6 +363,26 @@ def test_cluster_backends_agree_byte_for_byte(workspace):
         assert numpy_payload[key] == default_payload[key], key
 
 
+def test_main_calls_do_not_share_flags(workspace, tmp_path):
+    # cli.main parses with one parser per process: the flags of one call
+    # leave no trace on the next, which takes every default again
+    out = tmp_path / "result.json"
+    argv = ["cluster", "--input", str(workspace["data"]), "--out", str(out)]
+    assert cli.main([*argv, "--method", "baseline", "--bandwidth", "0.3",
+                     "--gamma", "1.0", "--seed", "5", "--no-timing"]) == 0
+    first = json.loads(out.read_text())
+    assert cli.main(argv) == 0
+    second = json.loads(out.read_text())
+    assert first["wall_time_s"] == 0.0 and second["wall_time_s"] > 0.0
+    assert (first["method"], second["method"]) == ("baseline", "adaptive")
+    assert first["config"]["bandwidth_h"] == 0.3
+    assert second["config"]["bandwidth_h"] != 0.3
+    defaults = cli.ShiftConfig(bandwidth_h=1.0)
+    for key, value in (("early_stop_gamma", 1.0), ("rng_seed", 5)):
+        assert first["config"][key] == value != getattr(defaults, key)
+        assert second["config"][key] == getattr(defaults, key)
+
+
 def test_cluster_thread_flag_does_not_change_bytes(workspace):
     out = workspace["root"] / "fast_t1.json"
     res = run_cli("cluster", "--input", str(workspace["data"]),
@@ -942,9 +962,9 @@ def pinned_data(tmp_path_factory):
     ("baseline", ("--bandwidth", "0.3"),
      "615e64599d095c0375361f43866d6fa9919e757abd7946a35226c98101f202db"),
     ("faster", ("--bandwidth", "0.3"),
-     "43f61ca8bb5237296ee13442f820d21294869227d2bd0dac7731323d577b602a"),
+     "eaa12f95e3ac4ecea84fc1c6f4fb98ac3863a7a66ff70d8df549eb078066939a"),
     ("adaptive", ("--bandwidth", "0.3"),
-     "663feb223b45841f5145a57fe0e792f1472228b2412df1c2e3f6116543ad322b"),
+     "86742cf903b461fdbb367dad876faa8ade3705d4658ced1aca673667182af878"),
     ("adaptive", (),
      "f1e8c85f61302d38cd2f0271affa014ab8a336111d1b61f4915a2325f423166b"),
 ], ids=["baseline", "faster", "adaptive", "adaptive-estimated"])

@@ -242,7 +242,7 @@ def test_adaptive_without_retry_keeps_its_bytes():
                        ([res.distance_evals], "<i8")):
         digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
     assert digest.hexdigest() == (
-        "be38a108dd8a6d8ef4acb380159779573495b02d81c5ba4ab735b2c27118c955")
+        "aae934811cf877754ff6c1ed25b805a0037c303a0ae36bf1a9cf713561747857")
 
 
 def test_adaptive_deterministic():
