@@ -146,14 +146,13 @@ class ClusterResult:
     distance_evals: int
 
 
-# The seeded engine's step extrapolation (see lockstep). Measured with
-# direct run_adaptive calls on blob20k_auto's data (20,000 points in one
-# blob, estimated h, data seed 42; numpy backend, 2 CPUs): with the secant
-# step length, caps of 4 and 8 both end in 6 sweeps, with 12.8M and 12.9M
-# distance evaluations, against 17 sweeps and 36.9M without extrapolation.
-# The step-ratio rule it replaced took 9 sweeps and 16.5M at a cap of 4.
-# A cap of 8 also moves the mode counts that
-# test_seeded_mode_counts_are_pinned pins for three of the datagen kinds.
+# The cap on the seeded engine's jump factor (lockstep states the rule).
+# Measured with direct run_adaptive calls on blob20k_auto's data (20,000
+# points in one blob, estimated h, data seed 42; numpy backend, 2 CPUs):
+# caps of 4 and 8 both end in 6 sweeps, with 12.8M and 12.9M distance
+# evaluations, against 17 sweeps and 36.9M without extrapolation. A cap of
+# 8 also moves the mode counts that test_seeded_mode_counts_are_pinned
+# pins for three of the datagen kinds.
 EXTRAPOLATE_MAX = 4.0
 
 
@@ -163,27 +162,26 @@ class Walkers:
 
     ``index`` is the points' ``kernels.cell_index``, built once by the code
     that makes the walkers (None: the points have no exact grid).
-    ``positions`` is where each walker stands, ``converged`` whether it
-    has converged, ``steps`` its kept previous step and ``moves`` the move
-    it made in its last sweep (both zero before its first), which the
-    seeded engine takes its secant step length from; None gives every
-    walker the plain step, as the baseline's take. ``seeds`` are the
-    seeded engine's start points' indices in draw order.
+    ``positions`` is where each walker stands and ``converged`` whether it
+    has converged. ``steps`` and ``factors`` are each walker's kept step
+    and jump factor, the state of :func:`lockstep`'s landing rule (zero
+    and 1 before its first sweep); None gives every walker the plain
+    step, as the baseline's take. ``seeds`` are the seeded engine's start
+    points' indices in draw order.
     """
 
     index: tuple | None
     positions: np.ndarray
     converged: np.ndarray
     steps: np.ndarray | None = None
-    moves: np.ndarray | None = None
+    factors: np.ndarray | None = None
     seeds: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
 
     @classmethod
     def seeded(cls, points: VectorSet, h: float) -> Walkers:
         """The seeded engine's walkers before its first seed is drawn."""
         return cls(kernels.cell_index(points.data, h), np.empty((0, points.d)),
-                   np.empty(0, bool), np.empty((0, points.d)),
-                   np.empty((0, points.d)))
+                   np.empty(0, bool), np.empty((0, points.d)), np.empty(0))
 
 
 def lockstep(walkers: Walkers, points: VectorSet, cfg: ShiftConfig,
@@ -199,24 +197,29 @@ def lockstep(walkers: Walkers, points: VectorSet, cfg: ShiftConfig,
     ``stop_fraction`` of all of them; no sweep runs when that already
     holds at the start.
 
-    Walkers with ``steps`` extrapolate by a secant step length. Let s' be
-    a moving walker's kept previous step and dx its last move. The step
-    field's slope along dx gives e = |dx|^2 / (dx . (s' - s)), the two-point
-    step size of Barzilai and Borwein: on an affine field s = -c (x - x*),
-    e = 1 / c and x + e s = x*. When dx . (s' - s) > 0, e > 1 and
-    |s| < |s'|, the walker moves to x + min(e, ``EXTRAPOLATE_MAX``) s.
-    Sums whose products overflow fail the test, and a jump that is not
-    finite falls back to m(x). Every other walker moves to m(x), so a
-    converged walker still ends on a window mean whose step was within the
-    tolerance. Each sweep writes every moving walker's s into ``steps``,
-    shortened to the s' it replaces when longer, and its move into
-    ``moves``: the kept step after a plain step, e times it after a jump.
-    So s' is never longer than any step the walker has taken, a jump needs
-    a step shorter than all of them, and a walker cannot cycle through a
-    jump, as an unshortened s' let it (a 1-D walk of 8 points did).
+    Walkers with ``steps`` extrapolate; this is the one statement of that
+    rule. A walker keeps a step s' and a factor f, and dx = f s' stands
+    for its last move (it is that move unless s' was shortened, below).
+    The step field's slope along dx gives the secant step length
+    e = |dx|^2 / (dx . (s' - s)), the two-point step size of Barzilai and
+    Borwein: on an affine field s = -c (x - x*), e = 1 / c and
+    x + e s = x*. When dx . (s' - s) > 0, e > 1 and |s| < |s'|, a moving
+    walker jumps to x + min(e, ``EXTRAPOLATE_MAX``) s; every other walker
+    moves to m(x), so a converged walker still ends on a window mean whose
+    step was within the tolerance. The sums fold coordinates in ascending
+    order from a zero start, as ``kernels.sq_dist`` does, so one walker
+    alone repeats every bit. Steps reach h, whose square may overflow, and
+    no overflow warns: an overflowed |dx|^2 fails the test, an overflowed
+    dx . (s' - s) gives e = 0, a nan (inf - inf, inf * 0) fails every
+    test, and a jump that is not finite falls back to m(x). Then each
+    moving walker keeps s as its s', shortened to the length of the s' it
+    replaces when longer, and f is the capped e after a jump, else 1. So
+    s' is never longer than any step the walker has taken, a jump needs a
+    step shorter than all of them, and as each jump sets a new record, no
+    cycle of walker states can contain one.
 
     Updates the walkers' ``positions``, ``converged``, ``steps`` and
-    ``moves`` and returns ``(sweeps, evals)``; ``evals`` is the sum over
+    ``factors`` and returns ``(sweeps, evals)``; ``evals`` is the sum over
     sweeps of (moving walkers) * n.
     """
     positions, converged = walkers.positions, walkers.converged
@@ -232,7 +235,7 @@ def lockstep(walkers: Walkers, points: VectorSet, cfg: ShiftConfig,
         evals += idx.size * points.n
         sweeps += 1
         converged[idx] = _land(rows, moved, thresh2, walkers.steps,
-                               walkers.moves, idx)
+                               walkers.factors, idx)
         positions[idx] = moved
         # this sweep's rows and means die here, so the next window step's
         # scratch is not stacked on them
@@ -240,47 +243,39 @@ def lockstep(walkers: Walkers, points: VectorSet, cfg: ShiftConfig,
     return sweeps, evals
 
 
-def _land(rows, moved, thresh2, steps, moves, idx):
+def _land(rows, moved, thresh2, steps, factors, idx):
     """Where lockstep's walkers at ``rows``, with window means ``moved``,
-    land: ``moved`` takes each jump, ``steps[idx]`` each kept step and
-    ``moves[idx]`` each move, and the walkers' converged flags are
-    returned. ``rows`` is overwritten."""
+    land by its rule: ``moved`` takes each jump, ``steps[idx]`` each kept
+    step and ``factors[idx]`` each factor, and the walkers' converged
+    flags are returned. ``rows`` is overwritten."""
     # a step whose square overflows to inf is not converged, as it is
     with np.errstate(over="ignore"):
         step2 = kernels.sq_dist(moved, rows)
     done = step2 <= thresh2
     if steps is None:
         return done
-    # dx . (s' - s), |dx|^2 and |s'|^2 fold the coordinates in ascending
-    # order into a zero start, as sq_dist folds |s|^2, so one walker alone
-    # repeats every bit. Steps reach h, whose square may overflow: an
-    # overflowed |dx|^2 fails the test, an overflowed dx . (s' - s) gives
-    # e = 0, and inf - inf or inf * 0 is nan, which fails every test
+    prev = steps[idx]
+    zero = np.zeros(rows.shape[1])
     dot = np.zeros(len(idx))
-    move2 = np.zeros(len(idx))
-    prev2 = np.zeros(len(idx))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dx = prev * factors[idx, None]
+        move2, prev2 = kernels.sq_dist(dx, zero), kernels.sq_dist(prev, zero)
         for k in range(rows.shape[1]):
-            prev, dx = steps[idx, k], moves[idx, k]
-            dot += dx * (prev - (moved[:, k] - rows[:, k]))
-            move2 += dx * dx
-            prev2 += prev * prev
+            dot += dx[:, k] * (prev[:, k] - (moved[:, k] - rows[:, k]))
         e = move2 / dot
         jump = np.flatnonzero(~done & (dot > 0) & (move2 < np.inf) & (e > 1)
                               & (step2 < prev2))
         e = np.minimum(e[jump], EXTRAPOLATE_MAX)
         x = rows[jump]
         far = x + e[:, None] * (moved[jump] - x)
-        # keep s, shortened to s' when longer: s' stays as short as the
-        # shortest step so far, so each jump sets a new record and no
-        # cycle of walker states can contain one
         s = np.subtract(moved, rows, out=rows)
         longer = np.flatnonzero((step2 > prev2) & (prev2 > 0))
         s[longer] *= np.sqrt(prev2[longer] / step2[longer])[:, None]
-        steps[idx] = moves[idx] = s
+        steps[idx] = s
         finite = np.flatnonzero(np.isfinite(far).all(axis=1))
         moved[jump[finite]] = far[finite]
-        moves[idx[jump[finite]]] *= e[finite, None]
+        factors[idx] = 1.0
+        factors[idx[jump[finite]]] = e[finite]
     return done
 
 

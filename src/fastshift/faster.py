@@ -4,15 +4,14 @@ Instead of iterating from every point, a small uniform sample of seeds
 walks to the modes; the whole batch advances together, each sweep testing
 every unconverged seed against the points of the grid cells around it
 (:func:`fastshift.kernels.cell_index`), in fixed index order. Each seed
-keeps its previous step and its last move, and while its steps shrink,
-:func:`fastshift.core.lockstep` scales the next one by a secant step
-length, read from how much the step shrank along that move, instead of
-taking one window-mean step per sweep; a seed on a broad, flat climb
-converges in about a third of the sweeps.
+keeps its step and one jump factor, and while its steps shrink it may
+jump ahead by a secant step length instead of taking one window-mean step
+(:func:`fastshift.core.lockstep` states the rule); a seed on a broad,
+flat climb converges in about a third of the sweeps.
 Once a gamma fraction of the batch has converged the rest are discarded,
 and every input point is then labeled by its nearest surviving mode. An
 adaptive controller's retry continues the previous attempt's
-:class:`fastshift.core.Walkers`, steps and moves included, and adds
+:class:`fastshift.core.Walkers`, steps and factors included, and adds
 seeds, instead of starting over.
 """
 
@@ -85,7 +84,7 @@ def run_faster(points: VectorSet, cfg: ShiftConfig,
     carry.converged = np.concatenate([carry.converged,
                                       np.zeros(len(added), dtype=bool)])
     carry.steps = np.concatenate([carry.steps, np.zeros_like(added)])
-    carry.moves = np.concatenate([carry.moves, np.zeros_like(added)])
+    carry.factors = np.concatenate([carry.factors, np.ones(len(added))])
     sweeps, evals = lockstep(carry, points, cfg, cfg.early_stop_gamma)
     # a standalone run's index dies here, before pruning and labelling
     positions, converged = carry.positions, carry.converged

@@ -148,20 +148,20 @@ def scalar_greedy_prune(cands, h):
 
 
 def walkers_at(start, points: VectorSet, h: float, converged=None,
-               steps=None, moves=None) -> Walkers:
+               steps=None, factors=None) -> Walkers:
     """``core.Walkers`` standing on a copy of the rows of ``start``, over
     the cell index of ``points`` at bandwidth ``h``. ``converged`` flags
     the walkers that have converged (default: none; copied); ``steps``,
-    kept as given, makes them extrapolate as the seeded engine's do, from
-    last moves ``moves`` (kept as given; default: zero, as before a
+    kept as given, makes them extrapolate as the seeded engine's do, with
+    jump factors ``factors`` (kept as given; default: 1, as before a
     walker's first sweep)."""
     positions = np.array(start, dtype=np.float64)
     flags = (np.zeros(len(positions), dtype=bool) if converged is None
              else np.array(converged, dtype=bool))
-    if steps is not None and moves is None:
-        moves = np.zeros_like(steps)
+    if steps is not None and factors is None:
+        factors = np.ones(len(steps))
     return Walkers(kernels.cell_index(points.data, h), positions, flags,
-                   steps, moves)
+                   steps, factors)
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,8 @@ def follow_seeded(x0, points: VectorSet, cfg: ShiftConfig,
                   sweeps: int) -> PointTrajectory:
     """Independent one-walker reference for the seeded engine's walk: at
     most ``sweeps`` window-mean steps by ``scalar_batch_step``, each taken
-    as ``core.lockstep`` takes it with ``steps``. The walker keeps its own
+    by the rule ``core.lockstep``'s docstring states for walkers with
+    ``steps``, restated here scalar by scalar. The walker keeps its own
     previous step s', shortened to the s' it replaces when longer, and its
     last move dx: s' after a plain step, e s' after a jump, and both zero
     before its first. Let s = m(x) - x: at |s| <= conv_tol * h it stops at

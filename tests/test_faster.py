@@ -235,15 +235,15 @@ def test_early_stop_boundaries():
 
 def _affine_landing(c, xstar, x0):
     # one plain step x0 -> x1 on the affine step field s(x) = -c (x - x*),
-    # then the walker's landing from x1: its kept step and last move are
-    # both s0, and its window mean is x1 + s1
+    # then the walker's landing from x1: its kept step is s0 with factor 1,
+    # and its window mean is x1 + s1
     c = np.asarray(c, dtype=np.float64)[:, None]
     s0 = -c * (x0 - xstar)
     x1 = x0 + s0
     means = x1 - c * (x1 - xstar)
-    steps, moves = s0.copy(), s0.copy()
+    steps, factors = s0.copy(), np.ones(len(s0))
     landed = means.copy()
-    done = _land(x1.copy(), landed, 1e-24, steps, moves,
+    done = _land(x1.copy(), landed, 1e-24, steps, factors,
                  np.arange(len(x1)))
     assert not done.any()
     return x1, means, landed
@@ -279,18 +279,33 @@ def test_extrapolation_overflow_takes_the_window_mean():
         warnings.simplefilter("error")
         walkers = walkers_at(np.zeros((1, 2)), pts, cfg.bandwidth_h,
                              steps=np.array([[6e153, 6e153]]),
-                             moves=np.array([[1.5e154, 1.5e154]]))
+                             factors=np.array([2.5]))
         sweeps, _ = lockstep(walkers, pts, cfg, 1.0)
     assert (sweeps, walkers.converged.tolist()) == (1, [False])
     assert walkers.positions.tolist() == [[5e153, 5e153]]
     assert walkers.steps.tolist() == [[5e153, 5e153]]
 
 
+def test_jump_needs_a_record_step():
+    # after a plain step s' = dx = (1, 0), the step s = (0.5, 1) passes
+    # the secant test, dx . (s' - s) = 0.5 > 0 and e = 2 > 1, but is no
+    # shorter than s': the walker lands at m(x) = x + s, not x + 2 s, and
+    # keeps s shortened to the length of s'
+    rows, moved = np.zeros((1, 2)), np.array([[0.5, 1.0]])
+    steps, factors = np.array([[1.0, 0.0]]), np.ones(1)
+    done = _land(rows, moved, 1e-24, steps, factors, np.arange(1))
+    assert not done.any()
+    assert moved.tolist() == [[0.5, 1.0]] and factors.tolist() == [1.0]
+    kept = np.array([0.5, 1.0]) * np.sqrt(1.0 / 1.25)
+    assert steps[0].tobytes() == kept.tobytes()
+
+
 def test_extrapolating_walker_does_not_cycle():
-    # a 1-D walk that jumps past the mode, turns back and jumps again: with
-    # s' as the plain previous step it cycles through the same four
-    # positions until max_iter; s' shortened to the shortest step so far
-    # lets no jump repeat, and the walker converges
+    # a 1-D walk whose secant jumps overshoot the mode both ways: with s'
+    # as the plain previous step it visits 0.03125, -0.665, -0.4375 and
+    # 0.228 over and over, jumping every second sweep, until max_iter;
+    # with s' shortened to the shortest step so far each jump sets a new
+    # record, and the walker converges at -0.203125 in 9 sweeps
     pts = VectorSet(np.array([[-0.375], [-0.375], [-0.375], [-0.125], [0.0],
                               [-0.625], [0.0], [0.25]]))
     cfg = ShiftConfig(bandwidth_h=0.5)
@@ -597,7 +612,7 @@ def test_retry_walkers_end_where_independent_walks_end(monkeypatch):
     assert int(walkers.converged.sum()) >= 0.8 * 64
     # every kept straggler converged in the retry, and every converged
     # walker ends bit for bit where its own walk from its start ends: a
-    # retry carries each walker's previous step and last move, so it
+    # retry carries each walker's kept step and jump factor, so it
     # extrapolates as it would have without the retry
     assert walkers.converged[:32][stragglers].all()
     alone = walkers_at(pts.data[walkers.seeds], pts, cfg.bandwidth_h,
