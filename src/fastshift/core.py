@@ -1,8 +1,11 @@
 """Domain types and the shared clustering primitives.
 
-Everything here is a pure function over immutable inputs. Reductions run in
-a fixed ascending index order (see :mod:`fastshift.kernels`), so results do
-not depend on caller parallelism.
+The types are immutable, apart from :class:`Walkers`: :func:`lockstep`
+advances a walker set in place, and its landing rule :func:`_land`
+overwrites the rows it is given. Every other function leaves its inputs
+as they are. Reductions run in a fixed ascending index order (see
+:mod:`fastshift.kernels`), so results do not depend on caller
+parallelism.
 """
 
 from __future__ import annotations

@@ -4,14 +4,17 @@
 docstring the one statement of the coordinate fold order.
 
 The window step (seed-vs-point window reductions) runs one group loop on
-both backends, and only its inner kernel exists twice: a numba ``@njit``
-loop and a pure numpy fallback. :data:`BACKENDS`, the backends this
-machine can run with the default first, is the one availability rule:
-``FASTSHIFT_BACKEND`` picks from it at import (any other value warns and
-keeps the default) and :func:`set_backend` at runtime. Nearest-mode labels
-and greedy mode pruning are numpy on both backends: each costs
-milliseconds next to the window sweeps on the benchmark workloads, and a
-numba twin would be code that cannot be measured where numba is missing.
+both backends, and only its inner kernel exists twice: a numba loop and
+a pure numpy fallback. The loop is one plain function on every machine,
+which numba compiles where it imports; where it does not, the loop runs
+as plain python, which only the tests select, on small inputs, to check
+its logic. :data:`BACKENDS`, the backends this machine can run with the
+default first, is the one availability rule: ``FASTSHIFT_BACKEND`` picks
+from it at import (any other value warns and keeps the default) and
+:func:`set_backend` at runtime. Nearest-mode labels and greedy mode
+pruning are numpy on both backends: each costs milliseconds next to the
+window sweeps on the benchmark workloads, and a numba twin would be code
+that cannot be measured where numba is missing.
 
 The window fold, stated here once for both inner kernels: per row, the
 in-window points are added in ascending index order into one running sum
@@ -67,6 +70,8 @@ try:
     HAS_NUMBA = True
 except ImportError:  # pragma: no cover - exercised only where numba is absent
     HAS_NUMBA = False
+    # the window loop then runs as plain python, one row after another
+    prange = range
 
 # floats of scratch one block of a block-shaped pass may hold (512 KB), small
 # enough to stay in cache; :func:`row_blocks` sizes every row block from it
@@ -155,34 +160,39 @@ def sq_dist(a, b, out=None, diff=None):
 # masked-mean window step
 # ---------------------------------------------------------------------------
 
-if HAS_NUMBA:
 
-    @njit(cache=True, parallel=True)
-    def _batch_step_numba(rows, points, h2):
-        m, d = rows.shape
-        n = points.shape[0]
-        out = np.empty((m, d))
-        counts = np.empty(m, np.int64)
-        for s in prange(m):
-            acc = np.zeros(d)
-            cnt = 0
-            for i in range(n):
-                dist2 = 0.0
+def _window_loop(rows, points, h2):
+    """The numba backend's window step of ``rows`` over every row of
+    ``points``, in the module's window fold: one pair at a time, rows in
+    parallel where numba compiles it, plain python where it is missing."""
+    m, d = rows.shape
+    n = points.shape[0]
+    out = np.empty((m, d))
+    counts = np.empty(m, np.int64)
+    for s in prange(m):
+        acc = np.zeros(d)
+        cnt = 0
+        for i in range(n):
+            dist2 = 0.0
+            for k in range(d):
+                diff = rows[s, k] - points[i, k]
+                dist2 += diff * diff
+            if dist2 <= h2:
+                cnt += 1
                 for k in range(d):
-                    diff = rows[s, k] - points[i, k]
-                    dist2 += diff * diff
-                if dist2 <= h2:
-                    cnt += 1
-                    for k in range(d):
-                        acc[k] += points[i, k]
-            counts[s] = cnt
-            if cnt > 0:
-                for k in range(d):
-                    out[s, k] = acc[k] / cnt
-            else:
-                for k in range(d):
-                    out[s, k] = rows[s, k]
-        return out, counts
+                    acc[k] += points[i, k]
+        counts[s] = cnt
+        if cnt > 0:
+            for k in range(d):
+                out[s, k] = acc[k] / cnt
+        else:
+            for k in range(d):
+                out[s, k] = rows[s, k]
+    return out, counts
+
+
+_batch_step_numba = (njit(cache=True, parallel=True)(_window_loop)
+                     if HAS_NUMBA else _window_loop)
 
 
 def scratch(pool, size):

@@ -1,5 +1,9 @@
 """Backend contract: numba and numpy kernels agree bit for bit, and the
-fold order makes results independent of chunking and threading."""
+fold order makes results independent of chunking and threading.
+
+Every backend test also runs a numba leg where numba is missing: the
+window loop then runs as plain python, so its logic is checked on every
+machine, on inputs about the size of ``ROWS`` by ``POINTS``."""
 
 import tracemalloc
 import warnings
@@ -18,12 +22,14 @@ POINTS = rng.normal(size=(257, 3))
 ROWS = POINTS[rng.choice(257, size=41, replace=False)] + 0.01
 H = 0.9
 
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
+BACKENDS = ["numpy", "numba"]
 
 
 @pytest.fixture(params=BACKENDS)
-def backend(request, restore_backend):
-    kernels.set_backend(request.param)
+def backend(request, monkeypatch):
+    # set directly, since without numba ``kernels.BACKENDS`` offers only
+    # numpy: no user can select the plain-python loop
+    monkeypatch.setattr(kernels, "_backend", request.param)
     return request.param
 
 
@@ -49,12 +55,10 @@ def test_batch_step_chunk_size_invariant_bitwise(backend):
             assert np.array_equal(c, counts)
 
 
-def test_batch_step_backends_agree_bitwise(restore_backend):
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba not installed")
-    kernels.set_backend("numba")
+def test_batch_step_backends_agree_bitwise(monkeypatch):
+    monkeypatch.setattr(kernels, "_backend", "numba")
     a, ca = kernels.batch_step(ROWS, POINTS, H, 50)
-    kernels.set_backend("numpy")
+    monkeypatch.setattr(kernels, "_backend", "numpy")
     b, cb = kernels.batch_step(ROWS, POINTS, H, 50)
     assert a.tobytes() == b.tobytes()
     assert np.array_equal(ca, cb)
@@ -91,6 +95,8 @@ def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
     assert sum(r for r, _ in calls) == big_rows.shape[0]
     ref, cr = scalar_batch_step(big_rows[:13], pts, 1.2)
     assert blocked[:13].tobytes() == ref.tobytes()
+    # 1,500 rows over 3,000 points take many seconds in the plain-python
+    # loop, so only the compiled one runs them
     if kernels.HAS_NUMBA:
         kernels.set_backend("numba")
         nb, cn = kernels.batch_step(big_rows, pts, 1.2, 3000, index)
@@ -699,17 +705,16 @@ def test_batch_step_grid_prunes_candidates(restore_backend, monkeypatch):
     assert np.array_equal(counts, ref_counts)
 
 
-def test_batch_step_numba_kernel_gets_grid_blocks(restore_backend,
-                                                  monkeypatch):
-    # both backends run the same block loop: the numba kernel (a stand-in,
-    # so this runs without numba too) gets exactly the numpy kernel's
-    # blocks, which together hold every row once
+def test_batch_step_numba_kernel_gets_grid_blocks(monkeypatch):
+    # both backends run the same block loop: the numba kernel gets exactly
+    # the numpy kernel's blocks, which together hold every row once
     points, _, _ = make_blobs(n=3000, k=10, sigma=0.1, seed=3)
     rows = points.data[::50]
     index = kernels.cell_index(points.data, 0.3)
 
-    def blocks_of(backend, name, step):
+    def blocks_of(backend, name):
         seen = []
+        step = getattr(kernels, name)
 
         # the numpy kernel gathers its candidates ``p[take]`` chunk by
         # chunk, and the numba kernel gets them copied once per group
@@ -720,15 +725,12 @@ def test_batch_step_numba_kernel_gets_grid_blocks(restore_backend,
             return step(r, p, h2, *rest)
 
         monkeypatch.setattr(kernels, "_backend", backend)
-        monkeypatch.setattr(kernels, name, kernel, raising=False)
+        monkeypatch.setattr(kernels, name, kernel)
         out, _ = kernels.batch_step(rows, points.data, 0.3, 4096, index)
         return seen, out
 
-    numpy_seen, numpy_out = blocks_of(
-        "numpy", "_batch_step_numpy_block", kernels._batch_step_numpy_block)
-    numba_seen, numba_out = blocks_of(
-        "numba", "_batch_step_numba",
-        lambda r, p, h2: scalar_batch_step(r, p, 0.3))
+    numpy_seen, numpy_out = blocks_of("numpy", "_batch_step_numpy_block")
+    numba_seen, numba_out = blocks_of("numba", "_batch_step_numba")
     assert numba_seen == numpy_seen
     assert len(numba_seen) > 1 and all(h2 == 0.3 * 0.3
                                        for _, _, h2 in numba_seen)
@@ -823,13 +825,13 @@ def test_nearest_labels_tie_goes_to_lower_index(backend):
     assert labels.tolist() == [0, 0]
 
 
-def test_greedy_prune_backends_agree(restore_backend):
+def test_greedy_prune_backends_agree(monkeypatch):
     # pruning is numpy on both backends; each must give the reference's
     # indices and supports exactly
     cands = rng.normal(size=(300, 2))
     ref_idx, ref_sup = scalar_greedy_prune(cands, 0.8)
     for name in BACKENDS:
-        kernels.set_backend(name)
+        monkeypatch.setattr(kernels, "_backend", name)
         idx, sup = kernels.greedy_prune(cands, 0.8)
         assert idx.dtype == sup.dtype == np.int64
         assert np.array_equal(idx, ref_idx), name
