@@ -10,8 +10,8 @@ which numba compiles where it imports; where it does not, the loop runs
 as plain python, which only the tests select, on small inputs, to check
 its logic. :data:`BACKENDS`, the backends this machine can run with the
 default first, is the one availability rule: ``FASTSHIFT_BACKEND`` picks
-from it at import (any other value warns and keeps the default) and
-:func:`set_backend` at runtime. Nearest-mode labels and greedy mode
+from it at import, the one backend setting (any other value warns and
+keeps the default). Nearest-mode labels and greedy mode
 pruning are numpy on both backends: each costs milliseconds next to the
 window sweeps on the benchmark workloads, and a numba twin would be code
 that cannot be measured where numba is missing.
@@ -37,7 +37,9 @@ that order. One in-place sort of every point's key finds the occupied
 cells, and a stable counting sort over them builds that order a block of
 rows at a time; the keys are freed before the order exists, so the index
 holds one int32 per point and no other n-sized array. Rows and points
-share one cell key.
+share one cell key, and :func:`_neighbour_ranges` is the one rule for
+which ranges of the point order hold a key's neighbour cells. A call
+without an index steps over the one-cell index of :func:`_one_cell`.
 One sort of the rows by (key, bits) makes the blocks, one per key, and
 steps each set of bit-identical rows once, since a row's result is a
 function of its bits alone. The grid drops only points the kernel would
@@ -95,14 +97,6 @@ if _backend not in BACKENDS:
 def active_backend() -> str:
     """Name of the backend used by the kernel dispatchers."""
     return _backend
-
-
-def set_backend(name: str) -> None:
-    """Switch the window step's inner kernel to one of :data:`BACKENDS`."""
-    global _backend
-    if name not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
-    _backend = name
 
 
 def set_threads(count: int) -> int:
@@ -400,6 +394,41 @@ def cell_index(points, h):
     return lo, side, axes, width, cells, offsets, order
 
 
+def _one_cell(n, d):
+    """The index :func:`batch_step` steps over when called without one.
+
+    One cell, key 0, holds all ``n`` points: the cell's side is infinite,
+    so :func:`_keys` puts every finite row of ``d`` coordinates in cell 0,
+    and :func:`_neighbour_ranges` gives that cell ranges that cover
+    ``[0, n)``. There is no point order, because ranges that cover every
+    point make the kernels read ``points`` itself, in index order.
+    """
+    return (np.zeros(d), np.inf, np.arange(1), 1, np.zeros(1, np.int64),
+            np.array([0, n]), None)
+
+
+def _neighbour_ranges(index, keys):
+    """The ranges of ``index``'s point order that hold the points of the
+    3 by 3 neighbour cells of each cell key in ``keys``.
+
+    Returns ``(starts, stops)``, each of shape ``(keys.size, 3)``: the
+    points of key i's neighbour cells are ``order[starts[i, j]:stops[i,
+    j]]`` for j = 0, 1, 2, one range per major neighbour cell, each over
+    the minor neighbour cells that exist. The minor cell of a key is in
+    ``[0, width)``, so its neighbours are clamped to that span, and no
+    range reaches into the next major cell. The three ranges are disjoint
+    and in ascending order.
+    """
+    width, cells, offsets = index[3:6]
+    minor = keys[:, None] % width
+    base = keys[:, None] - minor + np.arange(-1, 2) * width
+    starts = offsets[cells.searchsorted(base + np.maximum(minor - 1, 0),
+                                        "left")]
+    stops = offsets[cells.searchsorted(base + np.minimum(minor + 1,
+                                                         width - 1), "right")]
+    return starts, stops
+
+
 def _gather(order, lows, highs):
     """The indices ``order[lows[i]:highs[i]]`` for every i, joined in
     ``order``'s dtype and sorted in place: one group's candidates in index
@@ -416,17 +445,18 @@ def batch_step(rows, points, h, chunk_size, index=None):
     Rows with an empty window stay put. Returns ``(new_rows, window_counts)``.
     ``index`` is the ``(lo, side, axes, width, cells, offsets, order)``
     of ``cell_index(points, h)``, built once per run and kept in the
-    walkers' ``core.Walkers``; without it, all rows and points share one
-    cell. Rows must be finite. A cell's rows are stepped over the
-    points of its 3 by 3 neighbour cells in index order, found by
-    searching ``cells`` and read from ``order`` through ``offsets``, so
-    the bytes are those of testing every (row, point) pair. The numpy
-    kernel gathers those points chunk by chunk from ``points`` through
-    their sorted indices, and the numba kernel gets them copied once per
-    group; when those cells hold every point, both read ``points``
-    itself. Each set of bit-identical rows is stepped once, its result
-    copied to the others. Callers count rows times points distance
-    evaluations per call, whatever the grid and the deduplication save.
+    walkers' ``core.Walkers``; without it, the call steps over
+    :func:`_one_cell`'s index, one cell of every point. Rows must be
+    finite. A cell's rows are stepped over the points of its 3 by 3
+    neighbour cells in index order, the ranges of ``order`` that
+    :func:`_neighbour_ranges` gives, so the bytes are those of testing
+    every (row, point) pair. The numpy kernel gathers those points chunk
+    by chunk from ``points`` through their sorted indices, and the numba
+    kernel gets them copied once per group; when those cells hold every
+    point, both read ``points`` itself. Each set of bit-identical rows is
+    stepped once, its result copied to the others. Callers count rows
+    times points distance evaluations per call, whatever the grid and the
+    deduplication save.
     """
     rows = as_matrix(rows)
     points = as_matrix(points)
@@ -440,14 +470,8 @@ def batch_step(rows, points, h, chunk_size, index=None):
     counts = np.empty(rows.shape[0], np.int64)
     n = points.shape[0]
     if index is None:
-        # one cell holds every row and point, so each group's ranges cover
-        # every point and no point order is needed
-        width, cells, offsets, point_order = (1, np.zeros(1, np.int64),
-                                              np.array([0, n]), None)
-        key = np.zeros(rows.shape[0], np.int64)
-    else:
-        width, cells, offsets, point_order = index[3:]
-        key = _keys(rows, *index[:4])
+        index = _one_cell(n, rows.shape[1])
+    key = _keys(rows, *index[:4])
     # equal bits mean equal keys, so one sort by (key, bits) puts each
     # row's twins, the rows bit for bit equal to it, right after it;
     # comparing bits, not values, keeps 0.0 and -0.0 apart
@@ -462,15 +486,7 @@ def batch_step(rows, points, h, chunk_size, index=None):
     new = np.ones(distinct.size, bool)
     new[1:] = key[1:] != key[:-1]
     heads = np.flatnonzero(new)
-    # three ranges of cells per group, one per major neighbour cell, each
-    # over the minor neighbour cells that exist, and the ranges of
-    # ``point_order`` that hold their points
-    minor = key[heads, None] % width
-    base = key[heads, None] - minor + np.arange(-1, 2) * width
-    starts = offsets[cells.searchsorted(base + np.maximum(minor - 1, 0),
-                                        "left")]
-    stops = offsets[cells.searchsorted(base + np.minimum(minor + 1,
-                                                         width - 1), "right")]
+    starts, stops = _neighbour_ranges(index, key[heads])
     # only the output, the groups and one index per row outlive the sort
     del order, twin, first, key, new
     # a distance that overflows to inf is outside the window, as it is;
@@ -482,7 +498,7 @@ def batch_step(rows, points, h, chunk_size, index=None):
             # the ranges are disjoint, so when they hold n points they hold
             # every point, in index order, and the kernels read ``points``
             take = None if (highs - lows).sum() == n else _gather(
-                point_order, lows, highs)
+                index[6], lows, highs)
             if _backend == "numba":
                 # the numba loop holds no per-pair scratch, so a group is
                 # one call and its rows spread over every thread

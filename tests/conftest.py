@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
@@ -20,14 +19,6 @@ settings.register_profile(
     "suite", deadline=None, max_examples=25,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
-
-
-@pytest.fixture
-def restore_backend():
-    """Let a test switch kernels backends without leaking the choice."""
-    before = kernels.active_backend()
-    yield
-    kernels.set_backend(before)
 
 
 def cli_env(**extra):

@@ -454,7 +454,7 @@ def test_seeded_mode_counts_are_pinned(kind):
     assert (tuple(cluster), tuple(exhaustive)) == SEEDED_MODE_COUNTS[kind]
 
 
-def test_run_deterministic_across_runs_and_threads(restore_backend):
+def test_run_deterministic_across_runs_and_threads():
     pts, _, _ = make_blobs(n=500, k=5, sigma=0.1, seed=3)
     cfg = ShiftConfig(bandwidth_h=0.3, n_initial=64, rng_seed=17)
     a = run_faster(pts, cfg)

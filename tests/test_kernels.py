@@ -64,7 +64,7 @@ def test_batch_step_backends_agree_bitwise(monkeypatch):
     assert np.array_equal(ca, cb)
 
 
-def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
+def test_batch_step_row_blocking_path_bitwise(monkeypatch):
     # enough rows per grid cell that some cell's group exceeds the numpy
     # row-block budget: m rows over a chunk of c points hold a weight and a
     # complex scan slot per pair, a running sum per row and the chunk's d
@@ -73,7 +73,7 @@ def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
     # (3 * c + 2) rows
     big_rows = rng.normal(size=(1500, 2))
     pts = rng.normal(size=(3000, 2))
-    kernels.set_backend("numpy")
+    monkeypatch.setattr(kernels, "_backend", "numpy")
     calls = []
     numpy_block = kernels._batch_step_numpy_block
 
@@ -98,7 +98,7 @@ def test_batch_step_row_blocking_path_bitwise(restore_backend, monkeypatch):
     # 1,500 rows over 3,000 points take many seconds in the plain-python
     # loop, so only the compiled one runs them
     if kernels.HAS_NUMBA:
-        kernels.set_backend("numba")
+        monkeypatch.setattr(kernels, "_backend", "numba")
         nb, cn = kernels.batch_step(big_rows, pts, 1.2, 3000, index)
         assert blocked.tobytes() == nb.tobytes()
         assert np.array_equal(cb, cn)
@@ -232,14 +232,13 @@ def test_batch_step_empty_window_keeps_sign_of_zero(backend):
         assert out.tobytes() == rows.tobytes()
 
 
-def test_batch_step_steps_each_distinct_row_once(restore_backend,
-                                                 monkeypatch):
+def test_batch_step_steps_each_distinct_row_once(monkeypatch):
     # five copies of every row, in scrambled order, plus a -0.0 variant:
     # the kernel sees each distinct bit pattern exactly once
     points, _, _ = make_blobs(n=3000, k=10, sigma=0.1, seed=3)
     base = np.concatenate([points.data[::60], [[0.0, 0.0], [-0.0, 0.0]]])
     rows = np.tile(base, (5, 1))[rng.permutation(5 * base.shape[0])]
-    kernels.set_backend("numpy")
+    monkeypatch.setattr(kernels, "_backend", "numpy")
     seen = []
     numpy_block = kernels._batch_step_numpy_block
 
@@ -257,11 +256,11 @@ def test_batch_step_steps_each_distinct_row_once(restore_backend,
         assert np.array_equal(counts, ref_counts)
 
 
-def test_batch_step_twins_cost_no_memory(restore_backend):
+def test_batch_step_twins_cost_no_memory(monkeypatch):
     # the rows crowd a few cells, so the kernel's scratch blocks are full
     # in every case and the peaks differ only by what batch_step keeps per
     # row: its output row and count, and one index into the row sort
-    kernels.set_backend("numpy")
+    monkeypatch.setattr(kernels, "_backend", "numpy")
     gen = np.random.default_rng(5)
     pts = gen.normal(0.0, 0.05, size=(2000, 2))
     index = kernels.cell_index(pts, 0.5)
@@ -286,13 +285,13 @@ def test_batch_step_twins_cost_no_memory(restore_backend):
     assert twins <= distinct + half.shape[0] * 8 + 4096, (twins, distinct)
 
 
-def test_batch_step_scratch_stays_two_blocks(restore_backend):
+def test_batch_step_scratch_stays_two_blocks(monkeypatch):
     # all rows and points share one grid cell, so one group of 2,000 rows
     # over 3,000 candidates fills whole row blocks. The kernel's scratch,
     # a weight and a complex scan slot per pair and the chunk's columns,
     # is one BLOCK_FLOATS budget; the rest grows with the rows (output,
     # count, sort indices): here 15 B per row and candidate
-    kernels.set_backend("numpy")
+    monkeypatch.setattr(kernels, "_backend", "numpy")
     gen = np.random.default_rng(9)
     pts = gen.uniform(0.0, 0.9, size=(3000, 2))
     pts[0] = 0.0
@@ -310,13 +309,13 @@ def test_batch_step_scratch_stays_two_blocks(restore_backend):
 
 
 @pytest.mark.parametrize("d, n_rows, h", [(8, 40, 3.0), (50, 20, 9.5)])
-def test_batch_step_wide_rows_bitwise_within_budget(restore_backend, d,
-                                                    n_rows, h):
+def test_batch_step_wide_rows_bitwise_within_budget(monkeypatch, d, n_rows,
+                                                    h):
     # at d = 50 the columns of a 4,096-point chunk alone would take three
     # budgets, so the kernel shrinks the chunk (to 668 points for 16 rows)
     # and the scratch stays one BLOCK_FLOATS budget; numpy may add its two
     # 8,192-element ufunc buffers, and the rest grows with the rows
-    kernels.set_backend("numpy")
+    monkeypatch.setattr(kernels, "_backend", "numpy")
     gen = np.random.default_rng(d)
     pts = gen.normal(size=(2000, d))
     rows = pts[:n_rows] + 0.01
@@ -333,11 +332,11 @@ def test_batch_step_wide_rows_bitwise_within_budget(restore_backend, d,
     assert peak <= (kernels.BLOCK_FLOATS + 2 * 8192) * 8 + 64 * rows.size, peak
 
 
-def test_batch_step_without_grid_reads_points_in_place(restore_backend):
+def test_batch_step_without_grid_reads_points_in_place(monkeypatch):
     # points near 1e9 are beyond the grid's reach at h = 0.5, so every row
     # shares one cell with all 200K points: the kernel reads them where
     # they are, and the peak is its two scratch blocks, not a copy of them
-    kernels.set_backend("numpy")
+    monkeypatch.setattr(kernels, "_backend", "numpy")
     gen = np.random.default_rng(11)
     pts = 1e9 + gen.uniform(0.0, 100.0, size=(200_000, 2))
     rows = pts[gen.choice(pts.shape[0], size=64, replace=False)]
@@ -503,15 +502,74 @@ def test_cell_index_counting_sort_matches_a_stable_argsort(d, n, h, sites,
         assert np.array_equal(got, want)
 
 
+@settings(max_examples=300)
+@given(data=st.data())
+def test_neighbour_ranges_hold_exactly_the_neighbour_cells(data):
+    # each row coordinate is a cell edge of the grid, a point's coordinate
+    # or one h off it, or far beyond the grid's reach, so rows sit on cell
+    # edges and corners and get clipped major and clamped minor cells. A
+    # row's three ranges are disjoint and hold exactly the points whose
+    # major cell is within one of the row's and whose minor cell is within
+    # one of the row's, both worked out from ``_keys`` of every point
+    d = data.draw(st.integers(1, 3), label="d")
+    h = data.draw(st.sampled_from([0.3, 1.0]), label="h")
+    n = data.draw(st.integers(1, 40), label="n")
+    ints = data.draw(st.lists(st.integers(-4, 4), min_size=n * d,
+                              max_size=n * d), label="cells")
+    pts = np.array(ints, dtype=np.float64).reshape(n, d) * h
+    index = kernels.cell_index(pts, h)
+    assert index is not None
+    lo, side, _, width, _, _, order = index
+    m = data.draw(st.integers(1, 8), label="m")
+    coord = st.one_of(
+        st.integers(-3, 10).map(lambda i: ("edge", i)),
+        st.tuples(st.integers(0, n - 1), st.sampled_from([-h, 0.0, h])),
+        st.sampled_from([2.0 ** 31 * h, 1e300, -1e300]).map(
+            lambda x: ("far", x)))
+    rows = np.empty((m, d))
+    for r in range(m):
+        for k in range(d):
+            kind, value = data.draw(coord, label="coord")
+            if kind == "edge":
+                rows[r, k] = lo[k] + value * side
+            elif kind == "far":
+                rows[r, k] = value
+            else:
+                rows[r, k] = pts[kind, k] + value
+    row_keys = kernels._keys(rows, *index[:4])
+    point_keys = kernels._keys(pts, *index[:4])
+    starts, stops = kernels._neighbour_ranges(index, row_keys)
+    assert starts.shape == stops.shape == (m, 3)
+    assert (starts <= stops).all() and (stops[:, :-1] <= starts[:, 1:]).all()
+    for key, a, b in zip(row_keys, starts, stops):
+        near = ((np.abs(point_keys // width - key // width) <= 1)
+                & (np.abs(point_keys % width - key % width) <= 1))
+        got = np.concatenate([order[i:j] for i, j in zip(a, b)])
+        assert np.array_equal(np.sort(got), np.flatnonzero(near))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_cell_keys_every_row_to_zero_and_covers_every_point(d, n):
+    index = kernels._one_cell(n, d)
+    rows = np.array([[1e308] * d, [-1e308] * d, [0.0] * d, [-0.0] * d,
+                     [1e308, -0.0, -1e308][:d]])
+    keys = kernels._keys(rows, *index[:4])
+    assert keys.tolist() == [0] * rows.shape[0]
+    starts, stops = kernels._neighbour_ranges(index, keys)
+    for a, b in zip(starts, stops):
+        assert sorted(i for lo, hi in zip(a, b) for i in range(lo, hi)) \
+            == list(range(n))
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
-def test_batch_step_chunk_gather_matches_scalar_bitwise(restore_backend,
-                                                        monkeypatch, d,
+def test_batch_step_chunk_gather_matches_scalar_bitwise(monkeypatch, d,
                                                         chunk):
     # the numpy kernel gathers each chunk of a group's candidates from the
     # points through their indices; single rows at d = 5 gather more
     # floats than their scan slots hold, which the chunk length absorbs
-    kernels.set_backend("numpy")
+    monkeypatch.setattr(kernels, "_backend", "numpy")
     gen = np.random.default_rng(d)
     pts = np.concatenate([gen.normal(c, 0.3, size=(300, d))
                           for c in (-4.0, 0.0, 4.0)])
@@ -533,13 +591,13 @@ def test_batch_step_chunk_gather_matches_scalar_bitwise(restore_backend,
     assert np.array_equal(counts, ref_counts)
 
 
-def test_batch_step_200k_copies_no_candidates(restore_backend, monkeypatch):
+def test_batch_step_200k_copies_no_candidates(monkeypatch):
     # beside the points and their index, the window step holds one scratch
     # budget, a group's int32 candidate indices and what grows with the
     # rows, and numpy may add its two 8,192-element ufunc buffers: 0.70 MB
     # measured. A copy of a group's candidate points would add 16 bytes
     # per candidate, 0.32 MB here (0.98 MB measured with it)
-    kernels.set_backend("numpy")
+    monkeypatch.setattr(kernels, "_backend", "numpy")
     points, _, _ = make_blobs(n=200_000, k=10, sigma=0.1, seed=42)
     index = kernels.cell_index(points.data, 0.3)
     rows = points.data[::400]
@@ -554,7 +612,7 @@ def test_batch_step_200k_copies_no_candidates(restore_backend, monkeypatch):
     monkeypatch.setattr(kernels, "_batch_step_numpy_block", spy)
     kernels.batch_step(rows, points.data, 0.3, 4096, index)
     monkeypatch.undo()
-    kernels.set_backend("numpy")
+    monkeypatch.setattr(kernels, "_backend", "numpy")
     tracemalloc.start()
     try:
         kernels.batch_step(rows, points.data, 0.3, 4096, index)
@@ -682,12 +740,12 @@ def test_batch_step_underflowing_window_tests_every_point(backend):
     assert out.tobytes() == ref.tobytes()
 
 
-def test_batch_step_grid_prunes_candidates(restore_backend, monkeypatch):
+def test_batch_step_grid_prunes_candidates(monkeypatch):
     # a protocol window holds about one of 10 separated blobs; a silent
     # fall back to testing every pair would pass the rows times n here
     points, _, _ = make_blobs(n=3000, k=10, sigma=0.1, seed=3)
     rows = points.data[::50]
-    kernels.set_backend("numpy")
+    monkeypatch.setattr(kernels, "_backend", "numpy")
     pairs = []
     numpy_block = kernels._batch_step_numpy_block
 
@@ -767,10 +825,10 @@ def test_scratch_growth_never_holds_two_buffers():
     assert peak <= 60_000 * 8 + 1024
 
 
-def test_thread_count_does_not_change_bits(restore_backend):
+def test_thread_count_does_not_change_bits(monkeypatch):
     if not kernels.HAS_NUMBA:
         pytest.skip("numba not installed")
-    kernels.set_backend("numba")
+    monkeypatch.setattr(kernels, "_backend", "numba")
     kernels.set_threads(1)
     a, _ = kernels.batch_step(ROWS, POINTS, H, 64)
     applied = kernels.set_threads(4)  # clamped to the host allowance
@@ -873,13 +931,6 @@ def test_greedy_prune_folds_support_into_nearest(backend):
     idx, merged = kernels.greedy_prune(cands, 1.0)
     assert idx.tolist() == [0, 1, 3]
     assert merged.tolist() == [1, 2, 2]
-
-
-def test_backend_selection_validation(restore_backend):
-    with pytest.raises(ValueError):
-        kernels.set_backend("gpu")
-    kernels.set_backend("numpy")
-    assert kernels.active_backend() == "numpy"
 
 
 def _scalar_sq_dist(u, v):
